@@ -42,12 +42,13 @@
 
 namespace {
 
-/// The hot-path closure the engines really carry: phy/deliver captures a
-/// receiver pointer, a ~48-byte packet, and a duration — well past
-/// std::function's 16-byte small-buffer optimisation, so the serial
-/// queue pays one malloc/free per delivered event. InlineTask's 96-byte
-/// slot holds it inline. Both dispatch workloads below schedule closures
-/// of exactly this size so the comparison measures the storage strategy,
+/// The largest hot-path closure shape the engines carry: a receiver
+/// pointer, a ~48-byte packet, and a duration (the sharded engine's
+/// per-receiver phy/deliver; the MAC's ACK is close) — well past
+/// std::function's 16-byte small-buffer optimisation, so a std::function
+/// queue pays one malloc/free per such event. InlineTask's 96-byte slot
+/// holds it inline. Both dispatch workloads below schedule closures of
+/// exactly this size so the comparison measures the storage strategy,
 /// not the payload.
 struct DeliveryPayload {
   void* receiver = nullptr;

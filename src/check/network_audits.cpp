@@ -73,9 +73,12 @@ void installStandardAudits(InvariantAuditor& auditor, net::Network& network,
   auto batteryAudit = std::make_shared<BatteryMonotonicityAudit>();
   auditor.add("battery-monotonicity", [&network,
                                        batteryAudit](AuditContext& context) {
+    // Peek, never commit: a committed read adds an integration
+    // breakpoint, which rounds the battery integral differently from an
+    // unaudited run and so changes the simulation being observed.
     for (auto& node : network.nodes()) {
       batteryAudit->observe(node->id(),
-                            node->batteryRef().remainingJ(context.now()),
+                            node->batteryRef().peekRemainingJ(context.now()),
                             context);
     }
   });

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
 #include "obs/observability.hpp"
 #include "phy/radio.hpp"
@@ -22,6 +23,11 @@ constexpr double kIndexCellMargin = 1.0625;
 // densities holds a few dozen radios; 256 covers city-scale hotspots so
 // steady-state transmissions never grow the buffer.
 constexpr std::size_t kInitialScratch = 256;
+
+// Frames in flight at once: one per transmitter whose arrivals have not
+// all run (a sub-microsecond window), so a handful; 64 covers dense
+// fields before the pool grows at all.
+constexpr std::size_t kInitialFrames = 64;
 }  // namespace
 
 Channel::Channel(sim::Simulator& sim, const ChannelConfig& config)
@@ -38,6 +44,9 @@ Channel::Channel(sim::Simulator& sim, const ChannelConfig& config)
     index_.emplace(reach * kIndexCellMargin);
   }
   scratch_.reserve(kInitialScratch);
+  arrivals_.reserve(kInitialScratch);
+  framePool_.reserve(kInitialFrames);
+  idleFrames_.reserve(kInitialFrames);
 }
 
 sim::Time Channel::frameAirtime(int bytes) const {
@@ -87,11 +96,39 @@ const geo::GridMap* Channel::indexGrid() const {
   return index_ ? &index_->grid() : nullptr;
 }
 
+ECGRID_HOT_PATH Channel::Frame* Channel::acquireFrame(net::Packet stamped,
+                                                      sim::Time duration) {
+  if (idleFrames_.empty()) {
+    // Pool growth: a new high-water mark of concurrent transmissions,
+    // never steady-state churn (records are recycled, not freed) — the
+    // same argument as the event slab's growth.
+    ECGRID_ALLOC_EXEMPT();
+    framePool_.push_back(std::make_unique<Frame>());  // ecgrid-lint: allow(hot-path-allocation)
+    idleFrames_.reserve(framePool_.capacity());
+    idleFrames_.push_back(framePool_.back().get());
+  }
+  Frame* frame = idleFrames_.back();
+  idleFrames_.pop_back();
+  frame->packet = std::move(stamped);
+  frame->duration = duration;
+  frame->receptionEnds = sim_.openRun();
+  return frame;
+}
+
+ECGRID_HOT_PATH void Channel::arrivalDone(Frame* frame) {
+  if (--frame->pendingArrivals > 0) return;
+  // Every receiver has begun (or declined) its reception: no more
+  // reception ends join the run, and no event reads the frame any more.
+  sim_.closeRun(frame->receptionEnds);
+  frame->packet = net::Packet{};
+  idleFrames_.push_back(frame);
+}
+
 ECGRID_HOT_PATH void Channel::deliverTo(const Attachment& attachment,
                                         net::NodeId senderId,
                                         const geo::Vec2& senderPos,
                                         const net::Packet& stamped,
-                                        sim::Time duration) {
+                                        sim::Time duration, bool batched) {
   ECGRID_HOT_SCOPE();
   const double rangeSq = config_.rangeMeters * config_.rangeMeters;
   const double interfSq =
@@ -101,7 +138,10 @@ ECGRID_HOT_PATH void Channel::deliverTo(const Attachment& attachment,
   if (distSq > rangeSq && distSq > interfSq) return;
   double delay = std::sqrt(distSq) / config_.propagationSpeed;
   Radio* receiver = attachment.radio;
-  if (distSq <= rangeSq) {
+  // Inside the interference ring, or corrupted by the fault slot, only
+  // energy arrives: it cannot decode.
+  bool decodable = distSq <= rangeSq;
+  if (decodable) {
     ++deliveriesScheduled_;
     mDeliveriesScheduled_.add();
     if (config_.deliveryFault &&
@@ -111,15 +151,24 @@ ECGRID_HOT_PATH void Channel::deliverTo(const Attachment& attachment,
       // frame itself is lost (the MAC's ARQ sees a missing ACK).
       ++deliveriesCorrupted_;
       mDeliveriesCorrupted_.add();
-      sim_.scheduleFor(
-          sim::hostEventKey(receiver->id()), delay,
-          [receiver, duration] { receiver->beginInterference(duration); },
-          "phy/interference");
-      return;
+      decodable = false;
     }
-    // scheduleFor, not schedule: the reception belongs to the receiver's
-    // host, which the sharded engine may own on the other side of a
-    // stripe edge (the frame-crossing-a-shard-boundary event).
+  }
+  if (batched) {
+    // The key is drawn here, where a per-receiver schedule would be.
+    if (arrivals_.size() == arrivals_.capacity()) {
+      // High-water growth (the largest fan-out seen), like scratch_.
+      ECGRID_ALLOC_EXEMPT();
+      arrivals_.reserve(arrivals_.capacity() * 2);
+    }
+    arrivals_.push_back(Arrival{sim_.now() + delay, delay,
+                                sim_.takeEventKey(), receiver, decodable});
+    return;
+  }
+  // Sharded engine: scheduleFor, not schedule — the reception belongs to
+  // the receiver's host, which the engine may own on the other side of a
+  // stripe edge (the frame-crossing-a-shard-boundary event).
+  if (decodable) {
     sim_.scheduleFor(
         sim::hostEventKey(receiver->id()), delay,
         [receiver, stamped, duration] {
@@ -127,12 +176,42 @@ ECGRID_HOT_PATH void Channel::deliverTo(const Attachment& attachment,
         },
         "phy/deliver");
   } else {
-    // Inside the interference ring: energy arrives but cannot decode.
     sim_.scheduleFor(
         sim::hostEventKey(receiver->id()), delay,
         [receiver, duration] { receiver->beginInterference(duration); },
         "phy/interference");
   }
+}
+
+ECGRID_HOT_PATH void Channel::scheduleArrivals(Frame* frame) {
+  std::sort(arrivals_.begin(), arrivals_.end(),
+            [](const Arrival& a, const Arrival& b) {
+              return sim::runsBefore(a.time, a.key, b.time, b.key);
+            });
+  frame->pendingArrivals = static_cast<std::uint32_t>(arrivals_.size());
+  const sim::RunId run = sim_.openRun();
+  for (const Arrival& arrival : arrivals_) {
+    Radio* receiver = arrival.receiver;
+    if (arrival.decodable) {
+      sim_.scheduleInRun(
+          run, arrival.delay, arrival.key,
+          [this, receiver, frame] {
+            receiver->beginReceive(frame->packet, frame->duration,
+                                   frame->receptionEnds);
+            arrivalDone(frame);
+          },
+          "phy/deliver");
+    } else {
+      sim_.scheduleInRun(
+          run, arrival.delay, arrival.key,
+          [this, receiver, frame] {
+            receiver->beginInterference(frame->duration);
+            arrivalDone(frame);
+          },
+          "phy/interference");
+    }
+  }
+  sim_.closeRun(run);
 }
 
 ECGRID_HOT_PATH void Channel::transmitFrom(Radio& sender,
@@ -149,6 +228,8 @@ ECGRID_HOT_PATH void Channel::transmitFrom(Radio& sender,
                    attachments_[senderId].radio == &sender,
                "transmitting radio is not attached to this channel");
   geo::Vec2 senderPos = attachments_[senderId].position();
+  const bool batched = sim_.shardedEngine() == nullptr;
+  arrivals_.clear();
 
   if (index_) {
     scratch_.clear();
@@ -159,13 +240,18 @@ ECGRID_HOT_PATH void Channel::transmitFrom(Radio& sender,
     std::sort(scratch_.begin(), scratch_.end());
     for (std::size_t id : scratch_) {
       if (id == senderId) continue;
-      deliverTo(attachments_[id], sender.id(), senderPos, stamped, duration);
+      deliverTo(attachments_[id], sender.id(), senderPos, stamped, duration,
+                batched);
     }
   } else {
     for (const Attachment& a : attachments_) {
       if (a.radio == nullptr || a.radio == &sender) continue;
-      deliverTo(a, sender.id(), senderPos, stamped, duration);
+      deliverTo(a, sender.id(), senderPos, stamped, duration, batched);
     }
+  }
+  // Nobody in reach needs no frame at all.
+  if (!arrivals_.empty()) {
+    scheduleArrivals(acquireFrame(std::move(stamped), duration));
   }
 }
 

@@ -13,10 +13,19 @@
 // before delivery so the schedule order (and hence every sequence number)
 // is identical to the brute-force O(N) scan, which is kept behind
 // `ChannelConfig::useSpatialIndex = false` for differential testing.
+//
+// Each transmission takes a pooled Frame record holding the one Packet
+// copy every receiver decodes from. The frame's arrivals form one event
+// run and its receivers' reception ends another (sim::EventQueue runs):
+// two heap entries per frame instead of two per receiver, with every
+// arrival and reception end still its own labelled, cancellable event
+// taking the sequence number a per-receiver schedule() would. The
+// sharded engine has no runs and keeps per-receiver scheduleFor().
 #pragma once
 
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <optional>
 #include <vector>
 
@@ -108,6 +117,10 @@ class ECGRID_DOMAIN_PER_SCENARIO Channel {
   std::uint64_t deliveriesCorrupted() const { return deliveriesCorrupted_; }
   /// Attachments currently live (attached and not yet detached).
   std::size_t liveAttachmentCount() const { return liveAttachments_; }
+  /// Frame records ever allocated (the pool's high-water mark) and those
+  /// idle in the pool right now; equal whenever no frame is in flight.
+  std::size_t framePoolSize() const { return framePool_.size(); }
+  std::size_t idleFrames() const { return idleFrames_.size(); }
 
  private:
   struct Attachment {
@@ -115,9 +128,37 @@ class ECGRID_DOMAIN_PER_SCENARIO Channel {
     std::function<geo::Vec2()> position;
   };
 
+  /// One transmission in flight: the packet every receiver decodes from,
+  /// and the run its receivers' reception ends join. Returns to the pool
+  /// when its last arrival has run; the reception ends need no frame (a
+  /// Reception keeps its own Packet).
+  struct Frame {
+    net::Packet packet;
+    sim::Time duration = 0.0;
+    sim::RunId receptionEnds = sim::kNoRun;
+    std::uint32_t pendingArrivals = 0;
+  };
+  /// One per concurrent transmission, recycled: bounded by the channel's
+  /// busiest instant, not by run length.
+  ECGRID_LAYOUT_BUDGET(Frame, 80);
+
+  /// One arrival of the frame being fanned out: collected in attachment
+  /// order, each taking its event key there, then scheduled in
+  /// (time, key) order so every append to the run is O(1).
+  struct Arrival {
+    sim::Time time = 0.0;  ///< absolute, as the queue will compute it
+    sim::Time delay = 0.0;
+    sim::EventKey key;
+    Radio* receiver = nullptr;
+    bool decodable = false;
+  };
+
   void deliverTo(const Attachment& attachment, net::NodeId senderId,
                  const geo::Vec2& senderPos, const net::Packet& stamped,
-                 sim::Time duration);
+                 sim::Time duration, bool batched);
+  void scheduleArrivals(Frame* frame);
+  Frame* acquireFrame(net::Packet stamped, sim::Time duration);
+  void arrivalDone(Frame* frame);
 
   sim::Simulator& sim_;
   ChannelConfig config_;
@@ -125,6 +166,9 @@ class ECGRID_DOMAIN_PER_SCENARIO Channel {
   std::vector<std::size_t> freeSlots_;
   std::optional<SpatialIndex> index_;
   std::vector<std::size_t> scratch_;  ///< candidate buffer, reused per tx
+  std::vector<std::unique_ptr<Frame>> framePool_;  ///< owns every record
+  std::vector<Frame*> idleFrames_;
+  std::vector<Arrival> arrivals_;  ///< the current fan-out, reused per tx
   std::size_t liveAttachments_ = 0;
   std::uint64_t framesTransmitted_ = 0;
   std::uint64_t deliveriesScheduled_ = 0;

@@ -90,10 +90,18 @@ void Radio::setState(RadioState next) {
 }
 
 void Radio::rearmDepletion() {
+  double horizon = state_ == RadioState::kOff
+                       ? std::numeric_limits<double>::infinity()
+                       : battery_.timeToEmpty(sim_.now());
+  if (horizon == std::numeric_limits<double>::infinity()) {
+    depletion_.cancel();
+    return;
+  }
+  // Every Idle<->Rx/Tx change lands here; moving the pending timer in
+  // place orders it exactly like cancel + schedule, without the churn.
+  // Where it cannot move (the sharded engine), cancel and re-arm.
+  if (sim_.retime(depletion_, horizon)) return;
   depletion_.cancel();
-  if (state_ == RadioState::kOff) return;
-  double horizon = battery_.timeToEmpty(sim_.now());
-  if (horizon == std::numeric_limits<double>::infinity()) return;
   depletion_ = sim_.schedule(horizon, [this] { die(); }, "phy/battery");
 }
 
@@ -166,7 +174,8 @@ void Radio::wake() {
 }
 
 ECGRID_HOT_PATH void Radio::beginReceive(const net::Packet& packet,
-                                         sim::Time duration) {
+                                         sim::Time duration,
+                                         sim::RunId endRun) {
   // Trace logging below allocates when enabled; the audit gate runs with
   // logging at its default level, where both branches are dormant.
   ECGRID_HOT_SCOPE();
@@ -198,8 +207,10 @@ ECGRID_HOT_PATH void Radio::beginReceive(const net::Packet& packet,
   rx.packet = packet;
   rx.end = sim_.now() + duration;
   rx.corrupted = collision;
-  rx.endEvent = sim_.schedule(
-      duration, [this, token] { onReceptionEnd(token); }, "phy/rx_end");
+  auto end = [this, token] { onReceptionEnd(token); };
+  rx.endEvent = endRun == sim::kNoRun
+                    ? sim_.schedule(duration, end, "phy/rx_end")
+                    : sim_.scheduleInRun(endRun, duration, end, "phy/rx_end");
   if (collision) {
     for (auto& [t, existing] : receptions_) existing.corrupted = true;
   }

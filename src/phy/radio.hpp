@@ -117,8 +117,11 @@ class ECGRID_DOMAIN_PER_HOST Radio {
   void powerUp();
 
   /// Channel-facing: a transmission starts arriving at this radio.
-  /// `duration` is its airtime; `packet` the frame carried.
-  void beginReceive(const net::Packet& packet, sim::Time duration);
+  /// `duration` is its airtime; `packet` the frame carried. A reception
+  /// that starts schedules its end into `endRun`, the frame's run of
+  /// reception ends (sim::kNoRun: a stand-alone event).
+  void beginReceive(const net::Packet& packet, sim::Time duration,
+                    sim::RunId endRun = sim::kNoRun);
 
   /// Channel-facing: undecodable energy arrives (a transmitter inside the
   /// interference ring but outside decode range). Corrupts any reception

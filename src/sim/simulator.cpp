@@ -75,6 +75,41 @@ ECGRID_HOT_PATH EventHandle Simulator::scheduleTaskFor(std::uint64_t ownerKey,
   return queue_.push(now_ + delay, std::move(action), label);
 }
 
+RunId Simulator::openRun() {
+  ECGRID_REQUIRE(engine_ == nullptr, "runs need the serial engine");
+  return queue_.openRun();
+}
+
+void Simulator::closeRun(RunId run) { queue_.closeRun(run); }
+
+ECGRID_HOT_PATH EventHandle Simulator::scheduleTaskInRun(RunId run, Time delay,
+                                                         InlineTask action,
+                                                         const char* label) {
+  ECGRID_HOT_SCOPE();
+  ECGRID_REQUIRE(delay >= 0.0, "cannot schedule into the past");
+  return queue_.pushToRun(run, now_ + delay, std::move(action), label);
+}
+
+ECGRID_HOT_PATH EventHandle Simulator::scheduleTaskInRun(RunId run, Time delay,
+                                                         EventKey key,
+                                                         InlineTask action,
+                                                         const char* label) {
+  ECGRID_HOT_SCOPE();
+  ECGRID_REQUIRE(delay >= 0.0, "cannot schedule into the past");
+  return queue_.pushToRun(run, now_ + delay, key, std::move(action), label);
+}
+
+ECGRID_HOT_PATH EventKey Simulator::takeEventKey() {
+  ECGRID_REQUIRE(engine_ == nullptr, "event keys need the serial engine");
+  return queue_.takeKey();
+}
+
+ECGRID_HOT_PATH bool Simulator::retime(const EventHandle& handle, Time delay) {
+  ECGRID_REQUIRE(delay >= 0.0, "cannot schedule into the past");
+  if (engine_ != nullptr) return false;
+  return queue_.retime(handle, now_ + delay);
+}
+
 Time Simulator::nextEventTime() {
   return engine_ != nullptr ? engine_->nextEventTime() : queue_.peekTime();
 }
@@ -115,11 +150,10 @@ void Simulator::setPeriodicHook(std::uint64_t everyEvents,
 
 ECGRID_HOT_PATH bool Simulator::step(Time until) {
   if (engine_ != nullptr) return stepSharded(until);
-  if (queue_.peekTime() > until) return false;
   Time time = kTimeZero;
   InlineTask action;
   const char* label = nullptr;
-  if (!queue_.pop(time, action, label)) return false;
+  if (!queue_.pop(time, action, label, until)) return false;
   now_ = time;
   ++eventsExecuted_;
   if (probe_ != nullptr) {

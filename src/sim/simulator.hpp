@@ -100,9 +100,51 @@ class ECGRID_DOMAIN_PER_SCENARIO Simulator {
                            InlineTask(std::forward<F>(action)), label);
   }
 
+  /// Runs (EventQueue::openRun): events sharing one heap entry, for a
+  /// batch whose owner knows it will be scheduled close together — the
+  /// arrivals and reception ends of one frame (phy::Channel). Serial
+  /// engine only: callers check shardedEngine() first.
+  RunId openRun();
+  void closeRun(RunId run);
+
+  /// Schedule `action` `delay` seconds from now as an item of `run`.
+  /// Same order, handle and cancel semantics as schedule().
+  template <class F>
+  ECGRID_HOT_PATH EventHandle scheduleInRun(RunId run, Time delay, F&& action,
+                                            const char* label = nullptr) {
+    ECGRID_HOT_SCOPE();
+    return scheduleTaskInRun(run, delay, InlineTask(std::forward<F>(action)),
+                             label);
+  }
+
+  /// As above, with a key drawn earlier by takeEventKey() (see
+  /// EventQueue::pushToRun for the batch-building rule).
+  template <class F>
+  ECGRID_HOT_PATH EventHandle scheduleInRun(RunId run, Time delay,
+                                            EventKey key, F&& action,
+                                            const char* label = nullptr) {
+    ECGRID_HOT_SCOPE();
+    return scheduleTaskInRun(run, delay, key,
+                             InlineTask(std::forward<F>(action)), label);
+  }
+
+  /// The (tie key, sequence) pair the next schedule() would take.
+  EventKey takeEventKey();
+
+  /// Move the pending event behind `handle` to `delay` seconds from now
+  /// in place, running exactly where cancel() + schedule() would put it.
+  /// Returns false, changing nothing, when the event is not pending in
+  /// the serial queue's heap (inert, cancelled, executing, a run item, or
+  /// on the sharded engine); the caller then schedules afresh.
+  bool retime(const EventHandle& handle, Time delay);
+
   /// Monomorphic backends behind the schedule templates (the templates
   /// only build the InlineTask; everything else stays out of line).
   EventHandle scheduleTaskIn(Time delay, InlineTask action, const char* label);
+  EventHandle scheduleTaskInRun(RunId run, Time delay, InlineTask action,
+                                const char* label);
+  EventHandle scheduleTaskInRun(RunId run, Time delay, EventKey key,
+                                InlineTask action, const char* label);
   EventHandle scheduleTaskAt(Time when, InlineTask action, const char* label);
   EventHandle scheduleTaskFor(std::uint64_t ownerKey, Time delay,
                               InlineTask action, const char* label);

@@ -1,12 +1,13 @@
 // InlineTask — move-only callable with inline storage for event payloads.
 //
 // std::function's 16-byte small-buffer optimisation forces a heap
-// allocation for the hot phy/deliver closure (receiver pointer + 48-byte
-// Packet + duration ≈ 64 bytes) — one malloc/free pair per delivered
-// frame. Both event engines store InlineTask instead: any nothrow-movable
-// callable up to kInlineBytes lives directly in the pooled event slot, so
-// steady-state dispatch performs no heap traffic at all. Larger callables
-// fall back to a heap box transparently (same observable semantics).
+// allocation for every closure that carries a net::Packet by value (the
+// MAC's SIFS-delayed ACK: this + 48-byte Packet ≈ 56 bytes) — one
+// malloc/free pair per such event. Both event engines store InlineTask
+// instead: any nothrow-movable callable up to kInlineBytes lives directly
+// in the pooled event slot, so steady-state dispatch performs no heap
+// traffic at all. Larger callables fall back to a heap box transparently
+// (same observable semantics).
 //
 // The sharded engine's per-shard queues (sim/sharded/shard_queue.hpp)
 // adopted this shape in PR 7 and proved the 2.1–2.3× win; PR 9 migrated
@@ -29,9 +30,12 @@ namespace ecgrid::sim {
 
 class ECGRID_DOMAIN_PER_SCENARIO InlineTask {
  public:
-  /// Sized for the largest hot-path closure (phy/deliver: receiver
-  /// pointer + net::Packet + duration) with headroom for one more
-  /// capture; anything bigger transparently boxes on the heap.
+  /// Sized for the largest hot-path closures, those carrying a
+  /// net::Packet by value (the MAC's ACK; the sharded engine's
+  /// per-receiver phy/deliver: receiver pointer + Packet + duration ≈
+  /// 64 bytes) with headroom for one more capture; anything bigger
+  /// transparently boxes on the heap. The serial engine's phy/deliver
+  /// reads its Packet from the channel's frame record (24 bytes).
   static constexpr std::size_t kInlineBytes = 96;
 
   InlineTask() = default;

@@ -377,6 +377,32 @@ TEST(StandardAudits, ScenarioFlagSweepsAudits) {
   EXPECT_GT(result.auditRuns, 10u);
 }
 
+TEST(StandardAudits, AuditedRunsTraceTheUnauditedDigests) {
+  // Audits observe only: sweeping them must not move the simulation by a
+  // single rounding step (the battery audit once committed integration
+  // breakpoints, which changed every audited run's final digest).
+  for (harness::ProtocolKind protocol :
+       {harness::ProtocolKind::kGrid, harness::ProtocolKind::kEcgrid,
+        harness::ProtocolKind::kGaf}) {
+    SCOPED_TRACE(harness::toString(protocol));
+    harness::ScenarioConfig config;
+    config.protocol = protocol;
+    config.hostCount = 100;
+    config.duration = 4.0;
+    config.flowCount = 4;
+    config.packetsPerSecondPerFlow = 2.0;
+    config.digestEveryEvents = 1000;
+    config.auditPeriodEvents = 500;
+    const harness::ScenarioResult plain = harness::runScenario(config);
+    config.auditInvariants = true;
+    const harness::ScenarioResult audited = harness::runScenario(config);
+    EXPECT_GT(audited.auditRuns, 10u);
+    EXPECT_EQ(audited.eventsExecuted, plain.eventsExecuted);
+    ASSERT_FALSE(plain.digestTrace.empty());
+    EXPECT_EQ(audited.digestTrace, plain.digestTrace);
+  }
+}
+
 TEST(StandardAudits, ScenarioFlagOffMeansNoSweeps) {
   harness::ScenarioConfig config;
   config.hostCount = 20;

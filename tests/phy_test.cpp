@@ -3,11 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <vector>
 
 #include "energy/battery.hpp"
 #include "phy/channel.hpp"
 #include "phy/paging.hpp"
 #include "phy/radio.hpp"
+#include "sim/sharded/engine.hpp"
 #include "sim/simulator.hpp"
 
 namespace ecgrid::phy {
@@ -196,6 +198,33 @@ TEST(Radio, DiesExactlyAtDepletion) {
   EXPECT_EQ(radio.state(), RadioState::kOff);
 }
 
+TEST(Radio, DepletionTimerFollowsPowerChangesOnBothEngines) {
+  // Sleeping at 0.5 s cuts the draw, so the death first armed for 1.0 s
+  // must move later — in place on the serial queue, by cancel + re-arm
+  // on the sharded engine, where a stale timer would kill the host early.
+  std::vector<sim::Time> deaths;
+  for (int shards : {1, 4}) {
+    sim::Simulator simulator;
+    if (shards > 1) {
+      sim::sharded::ShardedEngineConfig config;
+      config.shards = shards;
+      simulator.enableSharding(config);
+    }
+    energy::Battery small(0.863);  // exactly 1 s of idle+GPS
+    Radio radio(simulator, small, energy::PowerProfile{}, 7);
+    sim::Time died = -1.0;
+    radio.setDeathCallback([&] { died = simulator.now(); });
+    simulator.schedule(0.5, [&] { radio.sleep(); }, "test/sleep");
+    simulator.run(1.5);
+    EXPECT_FALSE(radio.dead()) << shards << " shard(s)";
+    simulator.run(100.0);
+    EXPECT_TRUE(radio.dead()) << shards << " shard(s)";
+    deaths.push_back(died);
+  }
+  EXPECT_GT(deaths[0], 1.5);
+  EXPECT_EQ(deaths[0], deaths[1]);
+}
+
 TEST(Radio, MediumIdleAtCoversReceptionsAndNav) {
   Rig rig(100.0);
   rig.b.setNavGuard(400e-6);
@@ -276,6 +305,55 @@ struct PagingRig {
   sim::Simulator simulator;
   PagingChannel paging{simulator, PagingConfig{}};
 };
+
+TEST(Channel, FrameRecordsReturnToThePool) {
+  Rig rig(100.0);
+  int received = 0;
+  rig.b.setFrameCallback([&](const net::Packet&) { ++received; });
+  rig.a.transmit(makeFrame(0, 1), 1e-3);
+  EXPECT_EQ(rig.channel.framePoolSize(), 1u);
+  EXPECT_EQ(rig.channel.idleFrames(), 0u);
+  // Once the last arrival has run the frame is back, although b's
+  // reception (and its end, in the frame's run) is still in flight.
+  rig.simulator.run(1e-6);
+  EXPECT_EQ(rig.b.state(), RadioState::kRx);
+  EXPECT_EQ(rig.channel.idleFrames(), 1u);
+  rig.simulator.run(1.0);
+  EXPECT_EQ(received, 1);
+
+  // Two frames in flight at once take two records; an aborted reception
+  // (b falls asleep mid-frame) cancels its end without holding a frame.
+  rig.simulator.schedule(
+      0.0,
+      [&] {
+        rig.a.transmit(makeFrame(0, 1), 1e-3);
+        rig.b.transmit(makeFrame(1, 0), 1e-3);
+      },
+      "test/both");
+  rig.simulator.run(rig.simulator.now() + 1e-6);
+  EXPECT_EQ(rig.channel.framePoolSize(), 2u);
+  rig.simulator.schedule(
+      1.0,
+      [&] {
+        rig.a.transmit(makeFrame(0, 1), 1e-3);
+        rig.simulator.schedule(1e-4, [&] { rig.b.sleep(); }, "test/sleep");
+      },
+      "test/abort");
+  rig.simulator.run(rig.simulator.now() + 2.0);
+  EXPECT_EQ(received, 1);
+  EXPECT_EQ(rig.channel.framePoolSize(), 2u);
+  EXPECT_EQ(rig.channel.idleFrames(), 2u);
+  // Every run retired: only the two radios' depletion timers remain.
+  EXPECT_EQ(rig.simulator.queueDepth(), 2u);
+}
+
+TEST(Channel, UnheardTransmissionTakesNoFrame) {
+  Rig rig(1000.0);
+  rig.a.transmit(makeFrame(0, 1), 1e-3);
+  EXPECT_EQ(rig.channel.framePoolSize(), 0u);
+  rig.simulator.run(1.0);
+  EXPECT_EQ(rig.channel.framePoolSize(), 0u);
+}
 
 TEST(Paging, WakesTargetHostWithinRange) {
   PagingRig rig;
