@@ -107,8 +107,7 @@ int main(int argc, char** argv) {
   simulator.scheduleAt(kCrashAt, [&network, &simulator, crashedIds] {
     for (auto& node : network.nodes()) {
       if (crashedIds->size() >= 2) break;
-      auto* grid =
-          dynamic_cast<protocols::GridProtocolBase*>(&node->protocol());
+      auto* grid = protocols::GridProtocolBase::of(node->protocol());
       if (grid == nullptr || !grid->isGateway() || !node->alive()) continue;
       std::printf("  t=%.0f: gateway %d (grid %ld,%ld) crashes\n",
                   simulator.now(), node->id(),

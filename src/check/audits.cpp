@@ -1,5 +1,8 @@
 #include "check/audits.hpp"
 
+#include <algorithm>
+#include <numeric>
+#include <span>
 #include <sstream>
 
 namespace ecgrid::check {
@@ -9,14 +12,15 @@ namespace {
 /// With a positive conflict range, a multi-claim only counts as a contest
 /// when some claimant pair is physically close enough to exchange the
 /// HELLOs that would settle it; range 0 = every multi-claim contests.
-bool resolvableContest(const std::vector<GatewaySighting>& claimants,
+bool resolvableContest(const std::vector<GatewaySighting>& gateways,
+                       std::span<const std::uint32_t> claimants,
                        double rangeMeters) {
   if (rangeMeters <= 0.0) return true;
   const double rangeSq = rangeMeters * rangeMeters;
   for (std::size_t i = 0; i < claimants.size(); ++i) {
     for (std::size_t j = i + 1; j < claimants.size(); ++j) {
-      if (claimants[i].position.distanceSquaredTo(claimants[j].position) <=
-          rangeSq) {
+      if (gateways[claimants[i]].position.distanceSquaredTo(
+              gateways[claimants[j]].position) <= rangeSq) {
         return true;
       }
     }
@@ -28,46 +32,70 @@ bool resolvableContest(const std::vector<GatewaySighting>& claimants,
 
 void GatewayUniquenessAudit::observe(
     const std::vector<GatewaySighting>& gateways, AuditContext& context) {
-  std::map<geo::GridCoord, std::vector<GatewaySighting>> byGrid;
-  for (const GatewaySighting& sighting : gateways) {
-    byGrid[sighting.grid].push_back(sighting);
-  }
+  // Group claims by grid: sort sighting indices by (grid, index), so each
+  // grid's claimants keep their order in `gateways`.
+  byGrid_.resize(gateways.size());
+  std::iota(byGrid_.begin(), byGrid_.end(), 0u);
+  std::sort(byGrid_.begin(), byGrid_.end(),
+            [&gateways](std::uint32_t a, std::uint32_t b) {
+              const geo::GridCoord& ga = gateways[a].grid;
+              const geo::GridCoord& gb = gateways[b].grid;
+              return ga != gb ? ga < gb : a < b;
+            });
 
   // Contested grids: start/extend their conflict clocks; report the ones
-  // whose contest outlived the grace window.
-  std::map<geo::GridCoord, sim::Time> stillContested;
-  for (const auto& [grid, claimants] : byGrid) {
+  // whose contest outlived the grace window. Groups come in ascending grid
+  // order, as contests_ is kept, so one cursor finds each earlier clock.
+  stillContested_.clear();
+  std::size_t earlier = 0;
+  for (std::size_t first = 0; first < byGrid_.size();) {
+    const geo::GridCoord grid = gateways[byGrid_[first]].grid;
+    std::size_t end = first + 1;
+    while (end < byGrid_.size() && gateways[byGrid_[end]].grid == grid) ++end;
+    const std::span<const std::uint32_t> claimants(byGrid_.data() + first,
+                                                   end - first);
+    first = end;
     if (claimants.size() <= 1) continue;
-    if (!resolvableContest(claimants, conflictRangeMeters_)) continue;
-    auto it = conflictSince_.find(grid);
-    sim::Time since = it != conflictSince_.end() ? it->second : context.now();
-    stillContested[grid] = since;
+    if (!resolvableContest(gateways, claimants, conflictRangeMeters_)) continue;
+    while (earlier < contests_.size() && contests_[earlier].grid < grid) {
+      ++earlier;
+    }
+    const sim::Time since =
+        earlier < contests_.size() && contests_[earlier].grid == grid
+            ? contests_[earlier].since
+            : context.now();
+    stillContested_.push_back(Contest{grid, since});
     if (context.now() - since > conflictGrace_) {
       std::ostringstream os;
       os << "grid " << grid << " has " << claimants.size() << " gateways (";
       for (std::size_t i = 0; i < claimants.size(); ++i) {
-        os << (i != 0 ? ", " : "") << claimants[i].id;
+        os << (i != 0 ? ", " : "") << gateways[claimants[i]].id;
       }
       os << ") unresolved for " << context.now() - since << " s";
       context.report(os.str());
     }
   }
-  conflictSince_ = std::move(stillContested);
+  contests_.swap(stillContested_);
 }
 
 void SleepTransmitAudit::observe(const std::vector<SleepTxSighting>& hosts,
                                  AuditContext& context) {
-  std::map<net::NodeId, sim::Time> stillInconsistent;
+  const auto byId = [](const Inconsistency& a, const Inconsistency& b) {
+    return a.id < b.id;
+  };
+  stillInconsistent_.clear();
   for (const SleepTxSighting& host : hosts) {
     if (!host.protocolSleeping) continue;
     const bool radioConsistent = host.radioState == phy::RadioState::kSleep ||
                                  host.radioState == phy::RadioState::kOff ||
                                  host.sleepPending;
     if (radioConsistent) continue;
-    auto it = inconsistentSince_.find(host.id);
-    sim::Time since = it != inconsistentSince_.end() ? it->second
-                                                     : context.now();
-    stillInconsistent[host.id] = since;
+    const auto it = std::lower_bound(inconsistent_.begin(), inconsistent_.end(),
+                                     Inconsistency{host.id}, byId);
+    const sim::Time since = it != inconsistent_.end() && it->id == host.id
+                                ? it->since
+                                : context.now();
+    stillInconsistent_.push_back(Inconsistency{host.id, since});
     if (context.now() - since > settleGrace_) {
       std::ostringstream os;
       os << "host " << host.id << " has been protocol-sleeping for "
@@ -76,20 +104,29 @@ void SleepTransmitAudit::observe(const std::vector<SleepTxSighting>& hosts,
       context.report(os.str());
     }
   }
-  inconsistentSince_ = std::move(stillInconsistent);
+  // A repeated id repeats its clock, so duplicates cannot disagree.
+  std::sort(stillInconsistent_.begin(), stillInconsistent_.end(), byId);
+  inconsistent_.swap(stillInconsistent_);
 }
 
 void BatteryMonotonicityAudit::observe(net::NodeId id, double remainingJ,
                                        AuditContext& context) {
   constexpr double kEpsilonJ = 1e-9;
-  auto it = lastRemaining_.find(id);
-  if (it != lastRemaining_.end() && remainingJ > it->second + kEpsilonJ) {
+  auto it = std::lower_bound(
+      last_.begin(), last_.end(), id,
+      [](const Reading& reading, net::NodeId key) { return reading.id < key; });
+  const bool seen = it != last_.end() && it->id == id;
+  if (seen && remainingJ > it->remainingJ + kEpsilonJ) {
     std::ostringstream os;
-    os << "host " << id << " battery rose from " << it->second << " J to "
-       << remainingJ << " J";
+    os << "host " << id << " battery rose from " << it->remainingJ
+       << " J to " << remainingJ << " J";
     context.report(os.str());
   }
-  lastRemaining_[id] = remainingJ;
+  if (seen) {
+    it->remainingJ = remainingJ;
+  } else {
+    last_.insert(it, Reading{id, remainingJ});
+  }
 }
 
 void RouteLivenessAudit::observe(const std::vector<RouteSighting>& routes,

@@ -13,9 +13,13 @@
 // Those audits therefore carry a grace window and only report conflicts
 // that persist beyond it — persistent breakage is a protocol bug; a
 // transient that the protocol itself resolves is not.
+//
+// Audits run every few hundred events, so their state lives in sorted
+// vectors and reusable buffers: after the first sweeps, a sweep allocates
+// nothing.
 #pragma once
 
-#include <map>
+#include <cstdint>
 #include <vector>
 
 #include "geo/grid.hpp"
@@ -53,14 +57,25 @@ class GatewayUniquenessAudit {
       : conflictGrace_(conflictGrace),
         conflictRangeMeters_(conflictRangeMeters) {}
 
+  /// Reports contested grids in ascending grid order, each grid's
+  /// claimants in their order in `gateways`.
   void observe(const std::vector<GatewaySighting>& gateways,
                AuditContext& context);
 
  private:
+  struct Contest {
+    geo::GridCoord grid;
+    sim::Time since = sim::kTimeZero;  ///< when the contest was first seen
+  };
+
   sim::Time conflictGrace_;
   double conflictRangeMeters_;
-  /// Grids currently contested and when the contest was first seen.
-  std::map<geo::GridCoord, sim::Time> conflictSince_;
+  /// Grids currently contested, ascending by grid.
+  std::vector<Contest> contests_;
+  // Per-sweep buffers: sighting indices grouped by grid, and the next
+  // sweep's contests.
+  std::vector<std::uint32_t> byGrid_;
+  std::vector<Contest> stillContested_;
 };
 
 // --------------------------------------------------------------------------
@@ -88,9 +103,15 @@ class SleepTransmitAudit {
                AuditContext& context);
 
  private:
+  struct Inconsistency {
+    net::NodeId id = net::kBroadcastId;
+    sim::Time since = sim::kTimeZero;  ///< when the inconsistency started
+  };
+
   sim::Time settleGrace_;
-  /// Hosts currently inconsistent and when the inconsistency started.
-  std::map<net::NodeId, sim::Time> inconsistentSince_;
+  /// Hosts currently inconsistent, ascending by id.
+  std::vector<Inconsistency> inconsistent_;
+  std::vector<Inconsistency> stillInconsistent_;  ///< per-sweep buffer
 };
 
 // --------------------------------------------------------------------------
@@ -102,7 +123,14 @@ class BatteryMonotonicityAudit {
   void observe(net::NodeId id, double remainingJ, AuditContext& context);
 
  private:
-  std::map<net::NodeId, double> lastRemaining_;
+  struct Reading {
+    net::NodeId id = net::kBroadcastId;
+    double remainingJ = 0.0;
+  };
+
+  /// Last reading of every host seen, ascending by id: one entry per
+  /// host, however sparse the ids.
+  std::vector<Reading> last_;
 };
 
 // --------------------------------------------------------------------------

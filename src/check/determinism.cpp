@@ -41,7 +41,7 @@ void mixRoutingStats(Fnv1a& h, const protocols::RoutingStats& s) {
 
 void mixProtocol(Fnv1a& h, net::RoutingProtocol& protocol) {
   h.mixString(protocol.name());
-  if (auto* base = dynamic_cast<protocols::GridProtocolBase*>(&protocol)) {
+  if (auto* base = protocols::GridProtocolBase::of(protocol)) {
     h.mixI64(static_cast<int>(base->role()));
     h.mixBool(base->servedGrid().has_value());
     if (base->servedGrid()) mixCoord(h, *base->servedGrid());
@@ -50,7 +50,7 @@ void mixProtocol(Fnv1a& h, net::RoutingProtocol& protocol) {
     mixRoutingStats(h, base->routingStats());
     mixRoutingTable(h, base->routingEngine().routes());
     mixRoutingTable(h, base->routingEngine().reverseRoutes());
-  } else if (auto* gaf = dynamic_cast<protocols::GafProtocol*>(&protocol)) {
+  } else if (auto* gaf = protocols::GafProtocol::of(protocol)) {
     h.mixI64(static_cast<int>(gaf->state()));
     mixRoutingStats(h, gaf->routingStats());
   }
@@ -72,11 +72,12 @@ std::uint64_t stateDigest(net::Network& network) {
     h.mixI64(static_cast<int>(node.radio().state()));
 
     // Believed position and cell — what the protocol acts on. True
-    // position is mobility(now) and thus covered transitively.
+    // position is mobility(now) and thus covered transitively. The cell
+    // comes from the same position read, as Node::cell() computes it.
     const geo::Vec2 pos = node.position();
     h.mixDouble(pos.x);
     h.mixDouble(pos.y);
-    mixCoord(h, node.cell());
+    mixCoord(h, node.gridMap().cellOf(pos));
 
     // A crashed host's battery is frozen at the crash instant, so hash
     // the freeze marker instead. Live batteries are peeked, never

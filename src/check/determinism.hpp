@@ -17,8 +17,10 @@
 // comparisons over full scenarios.
 #pragma once
 
+#include <array>
+#include <bit>
+#include <cstddef>
 #include <cstdint>
-#include <cstring>
 #include <string_view>
 #include <vector>
 
@@ -32,30 +34,36 @@ namespace ecgrid::check {
 
 /// Incremental 64-bit FNV-1a. A tiny value type so audits and tests can
 /// fold arbitrary state without pulling in a hashing library.
+///
+/// Every word is hashed as its eight little-endian bytes, exactly as
+/// mixBytes(&v, 8) would hash them, but most words the digest folds are
+/// small counters, ids and cell coordinates whose high-order bytes are
+/// zero. FNV-1a's step for a zero byte is (h ^ 0) * p = h * p, so the k
+/// trailing zero bytes of a word fold into one multiply by p^k: mixU64
+/// runs the serial xor-multiply only over the word's significant bytes.
 class Fnv1a {
  public:
   [[nodiscard]] std::uint64_t value() const { return hash_; }
 
   void mixBytes(const void* data, std::size_t size) {
     const auto* bytes = static_cast<const unsigned char*>(data);
-    for (std::size_t i = 0; i < size; ++i) {
-      hash_ ^= bytes[i];
-      hash_ *= kPrime;
-    }
+    for (std::size_t i = 0; i < size; ++i) mixByte(bytes[i]);
   }
 
-  void mixU64(std::uint64_t v) { mixBytes(&v, sizeof(v)); }
+  void mixU64(std::uint64_t v) {
+    const int significant = (std::bit_width(v) + 7) / 8;
+    for (int i = 0; i < significant; ++i) {
+      mixByte(static_cast<unsigned char>(v));
+      v >>= 8;
+    }
+    hash_ *= kPrimePowers[8 - significant];
+  }
   void mixI64(std::int64_t v) { mixU64(static_cast<std::uint64_t>(v)); }
   void mixBool(bool v) { mixU64(v ? 1 : 0); }
 
   /// Doubles are mixed by bit pattern: the digest asks "bit-identical?",
   /// not "approximately equal?".
-  void mixDouble(double v) {
-    std::uint64_t bits = 0;
-    static_assert(sizeof(bits) == sizeof(v));
-    std::memcpy(&bits, &v, sizeof(bits));
-    mixU64(bits);
-  }
+  void mixDouble(double v) { mixU64(std::bit_cast<std::uint64_t>(v)); }
 
   void mixString(std::string_view s) {
     mixU64(s.size());
@@ -63,8 +71,27 @@ class Fnv1a {
   }
 
  private:
+  // mixU64 takes a word's bytes low-order first, which is their order in
+  // memory only on little-endian targets.
+  static_assert(std::endian::native == std::endian::little,
+                "Fnv1a::mixU64 hashes words in little-endian byte order");
+
   static constexpr std::uint64_t kOffsetBasis = 0xcbf29ce484222325ull;
   static constexpr std::uint64_t kPrime = 0x100000001b3ull;
+  /// kPrimePowers[k] = kPrime^k (mod 2^64), for folding k zero bytes.
+  static constexpr std::array<std::uint64_t, 9> kPrimePowers = [] {
+    std::array<std::uint64_t, 9> powers{};
+    powers[0] = 1;
+    for (std::size_t k = 1; k < powers.size(); ++k) {
+      powers[k] = powers[k - 1] * kPrime;
+    }
+    return powers;
+  }();
+
+  void mixByte(unsigned char byte) {
+    hash_ ^= byte;
+    hash_ *= kPrime;
+  }
 
   std::uint64_t hash_ = kOffsetBasis;
 };

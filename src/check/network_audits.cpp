@@ -1,7 +1,7 @@
 #include "check/network_audits.hpp"
 
-#include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "check/audits.hpp"
@@ -13,12 +13,11 @@ namespace ecgrid::check {
 namespace {
 
 bool protocolSleeping(net::Node& node) {
-  if (const auto* grid =
-          dynamic_cast<const protocols::GridProtocolBase*>(&node.protocol())) {
+  net::RoutingProtocol& protocol = node.protocol();
+  if (const auto* grid = protocols::GridProtocolBase::of(protocol)) {
     return grid->role() == protocols::GridProtocolBase::Role::kSleeping;
   }
-  if (const auto* gaf =
-          dynamic_cast<const protocols::GafProtocol*>(&node.protocol())) {
+  if (const auto* gaf = protocols::GafProtocol::of(protocol)) {
     return gaf->state() == protocols::GafProtocol::State::kSleep;
   }
   return false;
@@ -36,29 +35,32 @@ sim::Time deadSince(net::Node& node, sim::Time now) {
 
 }  // namespace
 
+// Each binding owns its audit and its sighting buffer (a mutable lambda):
+// the buffer is cleared, not reallocated, every sweep. Protocols are
+// looked up afresh each sweep — Node::restart() rebuilds them.
 void installStandardAudits(InvariantAuditor& auditor, net::Network& network,
                            const StandardAuditOptions& options) {
-  auto gatewayAudit = std::make_shared<GatewayUniquenessAudit>(
-      options.gatewayConflictGrace, options.gatewayConflictRangeMeters);
-  auditor.add("gateway-uniqueness", [&network, gatewayAudit](
-                                        AuditContext& context) {
-    std::vector<GatewaySighting> sightings;
+  GatewayUniquenessAudit gatewayAudit(options.gatewayConflictGrace,
+                                      options.gatewayConflictRangeMeters);
+  auditor.add("gateway-uniqueness", [&network, audit = std::move(gatewayAudit),
+                                     sightings = std::vector<GatewaySighting>()](
+                                        AuditContext& context) mutable {
+    sightings.clear();
     for (auto& node : network.nodes()) {
       if (!node->alive()) continue;  // crashed/dead hosts serve nothing
-      auto* grid =
-          dynamic_cast<protocols::GridProtocolBase*>(&node->protocol());
+      auto* grid = protocols::GridProtocolBase::of(node->protocol());
       if (grid == nullptr || !grid->servedGrid().has_value()) continue;
       sightings.push_back(GatewaySighting{*grid->servedGrid(), node->id(),
                                           node->truePosition()});
     }
-    gatewayAudit->observe(sightings, context);
+    audit.observe(sightings, context);
   });
 
-  auto sleepAudit =
-      std::make_shared<SleepTransmitAudit>(options.sleepSettleGrace);
-  auditor.add("no-tx-while-sleeping", [&network,
-                                       sleepAudit](AuditContext& context) {
-    std::vector<SleepTxSighting> sightings;
+  auditor.add("no-tx-while-sleeping",
+              [&network, audit = SleepTransmitAudit(options.sleepSettleGrace),
+               sightings = std::vector<SleepTxSighting>()](
+                  AuditContext& context) mutable {
+    sightings.clear();
     for (auto& node : network.nodes()) {
       SleepTxSighting sighting;
       sighting.id = node->id();
@@ -67,30 +69,29 @@ void installStandardAudits(InvariantAuditor& auditor, net::Network& network,
       sighting.sleepPending = node->radio().sleepPending();
       sightings.push_back(sighting);
     }
-    sleepAudit->observe(sightings, context);
+    audit.observe(sightings, context);
   });
 
-  auto batteryAudit = std::make_shared<BatteryMonotonicityAudit>();
   auditor.add("battery-monotonicity", [&network,
-                                       batteryAudit](AuditContext& context) {
+                                       audit = BatteryMonotonicityAudit()](
+                                          AuditContext& context) mutable {
     // Peek, never commit: a committed read adds an integration
     // breakpoint, which rounds the battery integral differently from an
     // unaudited run and so changes the simulation being observed.
     for (auto& node : network.nodes()) {
-      batteryAudit->observe(node->id(),
-                            node->batteryRef().peekRemainingJ(context.now()),
-                            context);
+      audit.observe(node->id(),
+                    node->batteryRef().peekRemainingJ(context.now()),
+                    context);
     }
   });
 
-  auto routeAudit =
-      std::make_shared<RouteLivenessAudit>(options.deadNextHopGrace);
-  auditor.add("route-next-hop-liveness", [&network,
-                                          routeAudit](AuditContext& context) {
-    std::vector<RouteSighting> sightings;
+  auditor.add("route-next-hop-liveness",
+              [&network, audit = RouteLivenessAudit(options.deadNextHopGrace),
+               sightings = std::vector<RouteSighting>()](
+                  AuditContext& context) mutable {
+    sightings.clear();
     for (auto& node : network.nodes()) {
-      auto* grid =
-          dynamic_cast<protocols::GridProtocolBase*>(&node->protocol());
+      auto* grid = protocols::GridProtocolBase::of(node->protocol());
       if (grid == nullptr || !node->alive()) continue;
       for (const auto& [destination, entry] :
            grid->routingEngine().routes().entries()) {
@@ -109,14 +110,14 @@ void installStandardAudits(InvariantAuditor& auditor, net::Network& network,
         sightings.push_back(sighting);
       }
     }
-    routeAudit->observe(sightings, context);
+    audit.observe(sightings, context);
   });
 
-  auto timeAudit = std::make_shared<EventTimeMonotonicityAudit>();
   auditor.add("event-time-monotonicity",
-              [&network, timeAudit](AuditContext& context) {
+              [&network, audit = EventTimeMonotonicityAudit()](
+                  AuditContext& context) mutable {
                 sim::Simulator& sim = network.simulator();
-                timeAudit->observe(sim.now(), sim.nextEventTime(), context);
+                audit.observe(sim.now(), sim.nextEventTime(), context);
               });
 
   // Channel bookkeeping: every alive host holds exactly one live channel
@@ -125,18 +126,17 @@ void installStandardAudits(InvariantAuditor& auditor, net::Network& network,
   // leaked tombstone slot, a double detach, or a crash path that forgot
   // to release (or a restart that forgot to re-take) its slot.
   auditor.add("channel-attachment-count", [&network](AuditContext& context) {
-    std::size_t live = network.channel().liveAttachmentCount();
-    std::size_t alive = network.aliveCount();
+    const std::size_t live = network.channel().liveAttachmentCount();
+    const std::size_t alive = network.aliveCount();
+    if (live == alive) return;
     std::size_t crashed = 0;
     for (auto& node : network.nodes()) {
       if (node->crashed()) ++crashed;
     }
-    if (live != alive) {
-      context.report("channel has " + std::to_string(live) +
-                     " live attachments but " + std::to_string(alive) +
-                     " hosts are alive (" + std::to_string(crashed) +
-                     " crashed)");
-    }
+    context.report("channel has " + std::to_string(live) +
+                   " live attachments but " + std::to_string(alive) +
+                   " hosts are alive (" + std::to_string(crashed) +
+                   " crashed)");
   });
 }
 

@@ -428,11 +428,9 @@ ScenarioResult runScenario(const ScenarioConfig& config) {
     result.macAcksSkipped += nodePtr->mac().acksSkipped();
     result.macAcksSent += nodePtr->mac().acksSent();
     const protocols::RoutingStats* stats = nullptr;
-    if (auto* base = dynamic_cast<protocols::GridProtocolBase*>(
-            &nodePtr->protocol())) {
+    if (auto* base = protocols::GridProtocolBase::of(nodePtr->protocol())) {
       stats = &base->routingStats();
-    } else if (auto* gaf = dynamic_cast<protocols::GafProtocol*>(
-                   &nodePtr->protocol())) {
+    } else if (auto* gaf = protocols::GafProtocol::of(nodePtr->protocol())) {
       stats = &gaf->routingStats();
     }
     if (stats == nullptr) continue;

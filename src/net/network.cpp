@@ -12,11 +12,10 @@ Network::Network(sim::Simulator& sim, const NetworkConfig& config)
 
 Node& Network::addNode(std::unique_ptr<mobility::MobilityModel> mobility,
                        const NodeConfig& config) {
-  for (const auto& existing : nodes_) {
-    ECGRID_REQUIRE(existing->id() != config.id, "duplicate node id");
-  }
+  ECGRID_REQUIRE(!byId_.contains(config.id), "duplicate node id");
   nodes_.push_back(std::make_unique<Node>(sim_, grid_, channel_, paging_,
                                           std::move(mobility), config));
+  byId_.emplace(config.id, nodes_.back().get());
   return *nodes_.back();
 }
 
@@ -25,10 +24,8 @@ void Network::start() {
 }
 
 Node* Network::findNode(NodeId id) {
-  for (auto& node : nodes_) {
-    if (node->id() == id) return node.get();
-  }
-  return nullptr;
+  const auto it = byId_.find(id);
+  return it != byId_.end() ? it->second : nullptr;
 }
 
 std::size_t Network::aliveCount() const {

@@ -6,6 +6,7 @@
 #pragma once
 
 #include <memory>
+#include <unordered_map>
 #include <vector>
 
 #include "geo/grid.hpp"
@@ -47,7 +48,7 @@ class ECGRID_DOMAIN_PER_SCENARIO Network {
   Node& node(std::size_t index) { return *nodes_.at(index); }
   const Node& node(std::size_t index) const { return *nodes_.at(index); }
 
-  /// Node with the given id, or nullptr.
+  /// Node with the given id, or nullptr. O(1): an id index, not a scan.
   Node* findNode(NodeId id);
 
   /// Number of hosts still alive at the current simulation time.
@@ -61,6 +62,9 @@ class ECGRID_DOMAIN_PER_SCENARIO Network {
   phy::Channel channel_;
   phy::PagingChannel paging_;
   std::vector<std::unique_ptr<Node>> nodes_;
+  /// Id → host, for findNode and addNode's duplicate check. Lookups only:
+  /// population order is nodes_'s.
+  std::unordered_map<NodeId, Node*> byId_;
 };
 
 }  // namespace ecgrid::net

@@ -6,6 +6,8 @@
 // protocol's private business.
 #pragma once
 
+#include <cstdint>
+
 #include "geo/grid.hpp"
 #include "net/host_env.hpp"
 #include "net/packet.hpp"
@@ -13,11 +15,23 @@
 
 namespace ecgrid::net {
 
+/// The protocol family an agent belongs to. Observers outside the
+/// protocol layer (state digests, invariant audits, result roll-ups) reach
+/// a family's state through GridProtocolBase::of / GafProtocol::of: a tag
+/// compare and a static_cast, not a dynamic_cast per host per sample.
+enum class ProtocolFamily : std::uint8_t {
+  kOther,  ///< no family-specific state to observe (e.g. flooding)
+  kGrid,   ///< protocols::GridProtocolBase (GRID, ECGRID)
+  kGaf,    ///< protocols::GafProtocol
+};
+
 class ECGRID_DOMAIN_PER_HOST RoutingProtocol {
  public:
   virtual ~RoutingProtocol() = default;
 
   virtual const char* name() const = 0;
+
+  ProtocolFamily family() const { return family_; }
 
   /// Called once at simulation start, after the whole network exists.
   virtual void start() = 0;
@@ -45,6 +59,13 @@ class ECGRID_DOMAIN_PER_HOST RoutingProtocol {
   /// The battery died (or the host was torn down). The radio is already
   /// off; the protocol must not schedule further work.
   virtual void onShutdown() = 0;
+
+ protected:
+  explicit RoutingProtocol(ProtocolFamily family = ProtocolFamily::kOther)
+      : family_(family) {}
+
+ private:
+  ProtocolFamily family_;
 };
 
 }  // namespace ecgrid::net

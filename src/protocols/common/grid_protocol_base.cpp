@@ -13,7 +13,8 @@ constexpr const char* kTag = "gridproto";
 
 GridProtocolBase::GridProtocolBase(net::HostEnv& env,
                                    const GridProtocolConfig& config)
-    : env_(env),
+    : net::RoutingProtocol(net::ProtocolFamily::kGrid),
+      env_(env),
       config_(config),
       engine_(env, makeHooks(), config.routing),
       hostTable_(config.helloPeriod * config.gatewayStaleFactor),

@@ -64,6 +64,13 @@ class ECGRID_DOMAIN_PER_HOST GridProtocolBase : public net::RoutingProtocol {
 
   GridProtocolBase(net::HostEnv& env, const GridProtocolConfig& config);
 
+  /// `protocol` as a GRID-family agent, or nullptr.
+  static GridProtocolBase* of(net::RoutingProtocol& protocol) {
+    return protocol.family() == net::ProtocolFamily::kGrid
+               ? static_cast<GridProtocolBase*>(&protocol)
+               : nullptr;
+  }
+
   // net::RoutingProtocol
   void start() override;
   void onFrame(const net::Packet& packet) override;

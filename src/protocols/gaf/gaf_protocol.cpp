@@ -14,7 +14,8 @@ using NodeState = GafDiscoveryHeader::NodeState;
 }  // namespace
 
 GafProtocol::GafProtocol(net::HostEnv& env, const GafConfig& config)
-    : env_(env),
+    : net::RoutingProtocol(net::ProtocolFamily::kGaf),
+      env_(env),
       config_(config),
       engine_(env, makeHooks(), config.routing),
       rng_(env.simulator().rng().stream("gaf", env.id())) {}

@@ -85,6 +85,13 @@ class ECGRID_DOMAIN_PER_HOST GafProtocol final : public net::RoutingProtocol {
 
   GafProtocol(net::HostEnv& env, const GafConfig& config);
 
+  /// `protocol` as a GAF agent, or nullptr.
+  static GafProtocol* of(net::RoutingProtocol& protocol) {
+    return protocol.family() == net::ProtocolFamily::kGaf
+               ? static_cast<GafProtocol*>(&protocol)
+               : nullptr;
+  }
+
   const char* name() const override { return "GAF"; }
   void start() override;
   void onFrame(const net::Packet& packet) override;

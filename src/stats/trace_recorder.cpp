@@ -40,12 +40,10 @@ void TraceRecorder::sample() {
     bool gateway = false;
     std::optional<geo::GridCoord> served;
     if (alive) {
-      if (auto* base = dynamic_cast<protocols::GridProtocolBase*>(
-              &node->protocol())) {
+      if (auto* base = protocols::GridProtocolBase::of(node->protocol())) {
         gateway = base->isGateway();
         if (gateway) served = base->servedGrid();
-      } else if (auto* gaf = dynamic_cast<protocols::GafProtocol*>(
-                     &node->protocol())) {
+      } else if (auto* gaf = protocols::GafProtocol::of(node->protocol())) {
         gateway = gaf->isLeader();
       }
     }

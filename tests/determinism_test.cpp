@@ -10,7 +10,11 @@
 //     caught by the perturbation mode, so a green check means something.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cstdint>
+#include <cstring>
+#include <limits>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -139,6 +143,173 @@ TEST(TieBreakPerturbation, CatchesInjectedUnorderedIterationDependence) {
   // …but the perturbed tie order changes the insertion order and with it
   // the hash-order fold: the divergence the harness exists to detect.
   EXPECT_NE(reference, orderDependentDigest(true));
+}
+
+// ---------------------------------------------------------------------------
+// Fnv1a: the zero-byte fold against a byte-at-a-time reference
+// ---------------------------------------------------------------------------
+
+/// Plain FNV-1a-64 over each value's bytes in memory, one xor-multiply per
+/// byte: the definition Fnv1a's folded mixU64 must reproduce exactly.
+class ReferenceFnv1a {
+ public:
+  std::uint64_t value() const { return hash_; }
+  void mixBytes(const void* data, std::size_t size) {
+    const auto* bytes = static_cast<const unsigned char*>(data);
+    for (std::size_t i = 0; i < size; ++i) {
+      hash_ ^= bytes[i];
+      hash_ *= 0x100000001b3ull;
+    }
+  }
+  void mixU64(std::uint64_t v) { mixBytes(&v, sizeof(v)); }
+  void mixI64(std::int64_t v) { mixU64(static_cast<std::uint64_t>(v)); }
+  void mixBool(bool v) { mixU64(v ? 1 : 0); }
+  void mixDouble(double v) {
+    std::uint64_t bits = 0;
+    std::memcpy(&bits, &v, sizeof(bits));
+    mixU64(bits);
+  }
+  void mixString(std::string_view s) {
+    mixU64(s.size());
+    mixBytes(s.data(), s.size());
+  }
+
+ private:
+  std::uint64_t hash_ = 0xcbf29ce484222325ull;
+};
+
+/// splitmix64: a fixed, seedable word stream for the differential test.
+std::uint64_t nextWord(std::uint64_t& state) {
+  std::uint64_t z = (state += 0x9e3779b97f4a7c15ull);
+  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
+  z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
+  return z ^ (z >> 31);
+}
+
+/// Every word of every significant-byte width 0..8: the boundaries
+/// (0, 1, 255, 256, …, 2^56 - 1, 2^56, ~0), words with zero bytes inside
+/// their significant span, and random words of each width.
+std::vector<std::uint64_t> wordsOfEveryWidth() {
+  std::vector<std::uint64_t> words = {0,
+                                      1,
+                                      255,
+                                      256,
+                                      0xffff,
+                                      0x10000,
+                                      (1ull << 56) - 1,
+                                      1ull << 56,
+                                      ~0ull,
+                                      0x0100000000000001ull,
+                                      0x00ff0000ff000000ull};
+  for (int width = 1; width <= 8; ++width) {
+    words.push_back(width == 8 ? ~0ull : (1ull << (8 * width)) - 1);
+    words.push_back(1ull << (8 * (width - 1)));
+  }
+  std::uint64_t state = 2003;
+  for (int width = 1; width <= 8; ++width) {
+    const std::uint64_t mask = width == 8 ? ~0ull : (1ull << (8 * width)) - 1;
+    for (int i = 0; i < 200; ++i) {
+      std::uint64_t word = nextWord(state) & mask;
+      word |= 1ull << (8 * (width - 1));  // top byte of the width non-zero
+      words.push_back(word);
+    }
+  }
+  return words;
+}
+
+TEST(Fnv1a, ReferenceMatchesPublishedVectors) {
+  ReferenceFnv1a empty;
+  EXPECT_EQ(empty.value(), 0xcbf29ce484222325ull);
+  ReferenceFnv1a a;
+  a.mixBytes("a", 1);
+  EXPECT_EQ(a.value(), 0xaf63dc4c8601ec8cull);
+  ReferenceFnv1a foobar;
+  foobar.mixBytes("foobar", 6);
+  EXPECT_EQ(foobar.value(), 0x85944171f73967e8ull);
+}
+
+TEST(Fnv1a, FoldedWordsMatchByteAtATimeHashing) {
+  const std::vector<std::uint64_t> words = wordsOfEveryWidth();
+  // Each word alone, from the offset basis…
+  for (std::uint64_t word : words) {
+    check::Fnv1a folded;
+    ReferenceFnv1a reference;
+    folded.mixU64(word);
+    reference.mixU64(word);
+    ASSERT_EQ(folded.value(), reference.value()) << std::hex << word;
+  }
+  // …and all of them chained, so each fold starts from an arbitrary state.
+  check::Fnv1a folded;
+  ReferenceFnv1a reference;
+  for (std::uint64_t word : words) {
+    folded.mixU64(word);
+    reference.mixU64(word);
+    ASSERT_EQ(folded.value(), reference.value()) << std::hex << word;
+    folded.mixI64(-static_cast<std::int64_t>(word & 0xffff));
+    reference.mixI64(-static_cast<std::int64_t>(word & 0xffff));
+    ASSERT_EQ(folded.value(), reference.value()) << std::hex << word;
+  }
+  folded.mixI64(std::numeric_limits<std::int64_t>::min());
+  reference.mixI64(std::numeric_limits<std::int64_t>::min());
+  EXPECT_EQ(folded.value(), reference.value());
+}
+
+TEST(Fnv1a, FoldedDoublesBoolsAndStringsMatchByteAtATimeHashing) {
+  using Limits = std::numeric_limits<double>;
+  const std::vector<double> doubles = {
+      0.0,
+      -0.0,
+      1.0,
+      -1.0,
+      0.5,
+      1e-300,
+      123.456,
+      Limits::denorm_min(),
+      -Limits::denorm_min(),
+      Limits::min() - Limits::denorm_min(),  // largest denormal
+      Limits::min(),
+      Limits::max(),
+      Limits::infinity(),
+      -Limits::infinity(),
+      Limits::quiet_NaN(),
+      -Limits::quiet_NaN(),
+      Limits::signaling_NaN(),
+      std::bit_cast<double>(0x7ff0000000000001ull),  // NaN, low payload
+      std::bit_cast<double>(0x7ff8dead0000beefull),  // NaN, mixed payload
+  };
+  const std::vector<std::string_view> strings = {
+      std::string_view(),
+      std::string_view("GRID"),
+      std::string_view("\0", 1),
+      std::string_view("\0\0\0", 3),
+      std::string_view("EC\0GRID\0", 8),
+      std::string_view("\0GAF", 4),
+  };
+
+  check::Fnv1a folded;
+  ReferenceFnv1a reference;
+  for (double value : doubles) {
+    folded.mixDouble(value);
+    reference.mixDouble(value);
+    ASSERT_EQ(folded.value(), reference.value())
+        << std::hex << std::bit_cast<std::uint64_t>(value);
+  }
+  for (bool value : {false, true, true, false}) {
+    folded.mixBool(value);
+    reference.mixBool(value);
+    ASSERT_EQ(folded.value(), reference.value()) << value;
+  }
+  for (std::string_view value : strings) {
+    folded.mixString(value);
+    reference.mixString(value);
+    ASSERT_EQ(folded.value(), reference.value()) << value.size();
+  }
+  // An embedded zero byte is content, not padding: it changes the hash.
+  check::Fnv1a withZero;
+  withZero.mixString(std::string_view("ab\0", 3));
+  check::Fnv1a withoutZero;
+  withoutZero.mixString(std::string_view("ab", 2));
+  EXPECT_NE(withZero.value(), withoutZero.value());
 }
 
 // ---------------------------------------------------------------------------

@@ -118,6 +118,73 @@ TEST(GatewayUniquenessAudit, FiresOnPersistentDoubleGateway) {
   EXPECT_NE(probe.violations()[0].detail.find("2 gateways"), std::string::npos);
 }
 
+TEST(GatewayUniquenessAudit, KeepsEachGridsClockAndReportsInGridOrder) {
+  GatewayUniquenessAudit audit(/*conflictGrace=*/5.0);
+  std::vector<GatewaySighting> sightings;
+  Probe probe([&](AuditContext& context) { audit.observe(sightings, context); });
+
+  // Claims interleaved across grids: (2,1) and (0,3) contested, (1,1) not.
+  sightings = {{{2, 1}, 5, {}},
+               {{0, 3}, 1, {}},
+               {{1, 1}, 9, {}},
+               {{2, 1}, 4, {}},
+               {{0, 3}, 2, {}}};
+  EXPECT_EQ(probe.violationsAfter(0.0), 0u);
+
+  // (0,3) resolves; (2,1) keeps its clock; (1,0) starts a contest.
+  sightings = {{{1, 0}, 8, {}},
+               {{2, 1}, 5, {}},
+               {{0, 3}, 1, {}},
+               {{2, 1}, 4, {}},
+               {{1, 0}, 7, {}}};
+  EXPECT_EQ(probe.violationsAfter(3.0), 0u);
+
+  // (0,3) re-contests: its clock restarts at 6.
+  sightings.push_back({{0, 3}, 2, {}});
+  ASSERT_EQ(probe.violationsAfter(6.0), 1u);
+  EXPECT_EQ(probe.violations()[0].detail,
+            "grid (2, 1) has 2 gateways (5, 4) unresolved for 6 s");
+
+  ASSERT_EQ(probe.violationsAfter(9.0), 3u);
+  EXPECT_EQ(probe.violations()[1].detail,
+            "grid (1, 0) has 2 gateways (8, 7) unresolved for 6 s");
+  EXPECT_EQ(probe.violations()[2].detail,
+            "grid (2, 1) has 2 gateways (5, 4) unresolved for 9 s");
+
+  ASSERT_EQ(probe.violationsAfter(12.0), 6u);
+  EXPECT_EQ(probe.violations()[3].detail,
+            "grid (0, 3) has 2 gateways (1, 2) unresolved for 6 s");
+  EXPECT_EQ(probe.violations()[4].detail,
+            "grid (1, 0) has 2 gateways (8, 7) unresolved for 9 s");
+  EXPECT_EQ(probe.violations()[5].detail,
+            "grid (2, 1) has 2 gateways (5, 4) unresolved for 12 s");
+
+  // Everything resolves: no clock survives, so a later contest starts over.
+  sightings = {{{2, 1}, 4, {}}, {{1, 0}, 7, {}}, {{0, 3}, 1, {}}};
+  EXPECT_EQ(probe.violationsAfter(13.0), 6u);
+  sightings = {{{2, 1}, 4, {}}, {{2, 1}, 5, {}}};
+  EXPECT_EQ(probe.violationsAfter(14.0), 6u);
+  EXPECT_EQ(probe.violationsAfter(19.0), 6u);
+  EXPECT_EQ(probe.violationsAfter(19.5), 7u);
+}
+
+TEST(GatewayUniquenessAudit, ConflictRangeFiltersEachGridSeparately) {
+  GatewayUniquenessAudit audit(/*conflictGrace=*/5.0,
+                               /*conflictRangeMeters=*/100.0);
+  // Grid (0,0): claimants 400 m apart cannot hear each other — no contest.
+  // Grid (1,0): the third claimant is within range of the first.
+  std::vector<GatewaySighting> sightings = {
+      {{0, 0}, 1, {0.0, 0.0}},       {{1, 0}, 3, {100.0, 0.0}},
+      {{0, 0}, 2, {400.0, 0.0}},     {{1, 0}, 4, {900.0, 0.0}},
+      {{1, 0}, 5, {150.0, 50.0}},
+  };
+  Probe probe([&](AuditContext& context) { audit.observe(sightings, context); });
+  EXPECT_EQ(probe.violationsAfter(0.0), 0u);
+  ASSERT_EQ(probe.violationsAfter(6.0), 1u);
+  EXPECT_EQ(probe.violations()[0].detail,
+            "grid (1, 0) has 3 gateways (3, 4, 5) unresolved for 6 s");
+}
+
 // --------------------------------------------------------------------------
 // 2. no TX while sleeping
 
@@ -154,6 +221,29 @@ TEST(SleepTransmitAudit, FiresWhenSleepingHostKeepsTransmitting) {
   EXPECT_NE(probe.violations()[0].detail.find("host 5"), std::string::npos);
 }
 
+TEST(SleepTransmitAudit, KeepsEachHostsClockAndReportsInSightingOrder) {
+  SleepTransmitAudit audit(/*settleGrace=*/1.0);
+  std::vector<SleepTxSighting> sightings = {
+      {9, true, phy::RadioState::kTx, false},
+      {2, true, phy::RadioState::kIdle, false},
+  };
+  Probe probe([&](AuditContext& context) { audit.observe(sightings, context); });
+  EXPECT_EQ(probe.violationsAfter(10.0), 0u);
+  // Host 40 joins late; host 2 settles and so loses its clock.
+  sightings = {{40, true, phy::RadioState::kIdle, false},
+               {9, true, phy::RadioState::kTx, false},
+               {2, true, phy::RadioState::kSleep, false}};
+  EXPECT_EQ(probe.violationsAfter(10.5), 0u);
+  sightings = {{40, true, phy::RadioState::kIdle, false},
+               {9, true, phy::RadioState::kTx, false},
+               {2, true, phy::RadioState::kIdle, false}};
+  ASSERT_EQ(probe.violationsAfter(11.2), 1u);
+  EXPECT_NE(probe.violations()[0].detail.find("host 9 "), std::string::npos);
+  ASSERT_EQ(probe.violationsAfter(11.6), 3u);
+  EXPECT_NE(probe.violations()[1].detail.find("host 40 "), std::string::npos);
+  EXPECT_NE(probe.violations()[2].detail.find("host 9 "), std::string::npos);
+}
+
 // --------------------------------------------------------------------------
 // 3. battery monotonicity
 
@@ -179,6 +269,31 @@ TEST(BatteryMonotonicityAudit, FiresWhenEnergyRises) {
   level = 450.0;
   ASSERT_EQ(probe.violationsAfter(1.0), 1u);
   EXPECT_NE(probe.violations()[0].detail.find("rose"), std::string::npos);
+}
+
+TEST(BatteryMonotonicityAudit, TracksSparseIdsIndependently) {
+  BatteryMonotonicityAudit audit;
+  std::vector<std::pair<net::NodeId, double>> readings;
+  Probe probe([&](AuditContext& context) {
+    for (const auto& [id, level] : readings) audit.observe(id, level, context);
+  });
+  // Ids far apart (and one negative); each host's first reading only
+  // seeds its history, whatever the order hosts are observed in.
+  readings = {{1000000, 300.0}, {3, 500.0}};
+  EXPECT_EQ(probe.violationsAfter(0.0), 0u);
+  readings = {{3, 450.0}, {-5, 900.0}, {1000000, 300.0}};
+  EXPECT_EQ(probe.violationsAfter(1.0), 0u);
+  // Host 3 is now above host 10^6's level, but below its own: no rise.
+  readings = {{1000000, 250.0}, {500, 480.0}, {3, 440.0}, {-5, 900.0}};
+  EXPECT_EQ(probe.violationsAfter(2.0), 0u);
+  // A rise on one host is reported against that host alone.
+  readings = {{3, 440.0}, {1000000, 260.0}, {500, 470.0}, {-5, 899.0}};
+  ASSERT_EQ(probe.violationsAfter(3.0), 1u);
+  EXPECT_EQ(probe.violations()[0].detail,
+            "host 1000000 battery rose from 250 J to 260 J");
+  // The rising reading became the new baseline.
+  readings = {{1000000, 260.0}, {3, 440.0}};
+  EXPECT_EQ(probe.violationsAfter(4.0), 1u);
 }
 
 TEST(BatteryMonotonicityAudit, CatchesInjectedRechargeOnRealNetwork) {

@@ -2,6 +2,7 @@
 // handling, paging plumbing, and network-level queries.
 #include <gtest/gtest.h>
 
+#include "protocols/flooding/flooding_protocol.hpp"
 #include "test_net.hpp"
 
 namespace ecgrid::test {
@@ -22,6 +23,67 @@ TEST(Network, FindNodeAndCounts) {
   EXPECT_EQ(net.network.findNode(7)->id(), 7);
   EXPECT_EQ(net.network.findNode(99), nullptr);
   EXPECT_EQ(net.network.aliveCount(), 2u);
+}
+
+TEST(Network, FindNodeIndexesArbitraryIds) {
+  TestNet net;
+  // Non-contiguous ids, added out of order.
+  net::Node& far = net.addStatic(1000000, {50.0, 50.0});
+  net::Node& three = net.addStatic(3, {150.0, 50.0});
+  net::Node& zero = net.addStatic(0, {250.0, 50.0});
+  EXPECT_EQ(net.network.findNode(1000000), &far);
+  EXPECT_EQ(net.network.findNode(3), &three);
+  EXPECT_EQ(net.network.findNode(0), &zero);
+  // Absent ids: the broadcast id, negatives, and neighbours of real ones.
+  for (net::NodeId absent :
+       {net::kBroadcastId, -7, 1, 2, 4, 999999, 1000001}) {
+    EXPECT_EQ(net.network.findNode(absent), nullptr) << absent;
+  }
+  // Hosts cannot take negative ids; a rejected host leaves no trace.
+  EXPECT_THROW(net.addStatic(-7, {350.0, 50.0}), std::invalid_argument);
+  EXPECT_EQ(net.network.findNode(-7), nullptr);
+  // The duplicate check uses the same index, however large the id.
+  EXPECT_THROW(net.addStatic(1000000, {350.0, 50.0}), std::invalid_argument);
+  EXPECT_THROW(net.addStatic(0, {350.0, 50.0}), std::invalid_argument);
+  EXPECT_EQ(net.network.findNode(1000000), &far);
+  // Population order is insertion order, independent of the index.
+  ASSERT_EQ(net.network.nodeCount(), 3u);
+  EXPECT_EQ(&net.network.node(0), &far);
+  EXPECT_EQ(&net.network.node(2), &zero);
+  net::Node& later = net.addStatic(4, {350.0, 50.0});
+  EXPECT_EQ(net.network.findNode(4), &later);
+}
+
+TEST(RoutingProtocol, FamilyTagReachesFamilyState) {
+  TestNet net;
+  net::Node& grid = net.addStatic(1, {50.0, 50.0});
+  net::Node& ecgrid = net.addStatic(2, {150.0, 50.0});
+  net::Node& gaf = net.addStatic(3, {250.0, 50.0});
+  net::Node& flooding = net.addStatic(4, {350.0, 50.0});
+  net.installGrid(grid);
+  net.installEcgrid(ecgrid);
+  net.installGaf(gaf);
+  flooding.setProtocol(std::make_unique<protocols::FloodingProtocol>(
+      flooding, protocols::FloodingConfig{}));
+
+  EXPECT_EQ(grid.protocol().family(), net::ProtocolFamily::kGrid);
+  EXPECT_EQ(ecgrid.protocol().family(), net::ProtocolFamily::kGrid);
+  EXPECT_EQ(gaf.protocol().family(), net::ProtocolFamily::kGaf);
+  EXPECT_EQ(flooding.protocol().family(), net::ProtocolFamily::kOther);
+
+  EXPECT_EQ(protocols::GridProtocolBase::of(grid.protocol()),
+            dynamic_cast<protocols::GridProtocolBase*>(&grid.protocol()));
+  EXPECT_EQ(protocols::GridProtocolBase::of(ecgrid.protocol()),
+            dynamic_cast<protocols::GridProtocolBase*>(&ecgrid.protocol()));
+  EXPECT_EQ(protocols::GafProtocol::of(gaf.protocol()),
+            dynamic_cast<protocols::GafProtocol*>(&gaf.protocol()));
+  EXPECT_NE(protocols::GridProtocolBase::of(ecgrid.protocol()), nullptr);
+  EXPECT_NE(protocols::GafProtocol::of(gaf.protocol()), nullptr);
+
+  EXPECT_EQ(protocols::GridProtocolBase::of(gaf.protocol()), nullptr);
+  EXPECT_EQ(protocols::GafProtocol::of(grid.protocol()), nullptr);
+  EXPECT_EQ(protocols::GridProtocolBase::of(flooding.protocol()), nullptr);
+  EXPECT_EQ(protocols::GafProtocol::of(flooding.protocol()), nullptr);
 }
 
 TEST(Node, ExposesGpsView) {

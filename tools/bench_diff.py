@@ -13,9 +13,10 @@ Metric classes:
   * deterministic — everything not matched below. Compared exactly by
     default; `--rel-tol R` (or a per-pattern `--tol GLOB=R`) widens the
     band to |a-b| <= R * max(|a|,|b|) + 1e-12.
-  * wall-class    — wall_seconds, *_per_second, *.wall_s, *speedup*,
-    jobs: machine-load-dependent, so REPORT-ONLY by default (printed,
-    never fatal). `--wall-rel-tol R` opts them into enforcement.
+  * wall-class    — wall_seconds, *_per_second, *.events_per_s, *.wall_s,
+    *.wall_s_total, *speedup*, jobs: machine-load-dependent, so
+    REPORT-ONLY by default (printed, never fatal). `--wall-rel-tol R` opts
+    them into enforcement.
 
 Structural drift is always fatal: a scenario, series, or metric present
 on one side only, series sampled at different x points, or a run-count
@@ -46,7 +47,9 @@ MAX_REPORTED = 40
 WALL_PATTERNS = (
     "wall_seconds",
     "*_per_second",
+    "*.events_per_s",
     "*.wall_s",
+    "*.wall_s_total",
     "*speedup*",
     "jobs",
 )
