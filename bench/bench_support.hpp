@@ -11,14 +11,6 @@
 //                             1 = serial; results are identical either way)
 //   ECGRID_BENCH_HORIZON=S  — cap every run's duration at S seconds (CI
 //                             smoke under slow sanitizers)
-//   ECGRID_BENCH_SHARDS=N   — run every scenario on the sharded event
-//                             engine with N spatial shards (default 1 =
-//                             serial oracle). Figure numbers are
-//                             byte-identical at any value — the sharded
-//                             engine commits the identical event order
-//                             (tests/sharded_test.cpp) — so this only
-//                             changes engine mechanics and the profile.*
-//                             attribution.
 //   ECGRID_BENCH_OUT=DIR    — write artifacts to DIR instead of bench_out/
 //                             (CI scratch runs; keeps committed records
 //                             untouched)
@@ -76,16 +68,6 @@ inline void applyHorizonCap(harness::ScenarioConfig& config) {
   if (cap > 0.0 && config.duration > cap) config.duration = cap;
 }
 
-/// Event-engine shard count for every bench scenario (ECGRID_BENCH_SHARDS,
-/// default 1 = the serial oracle). Applied by paperBaseline(), so every
-/// figure bench honours it without per-bench wiring.
-inline int benchShards() {
-  const char* env = std::getenv("ECGRID_BENCH_SHARDS");
-  if (env == nullptr) return 1;
-  int n = std::atoi(env);
-  return n > 0 ? n : 1;
-}
-
 /// Wall-clock stopwatch for the whole bench. Wall time never feeds the
 /// simulation — it is reporting-only, hence the lint suppressions.
 class WallTimer {
@@ -114,7 +96,6 @@ inline harness::ScenarioConfig paperBaseline() {
   config.maxSpeed = 1.0;
   config.pauseTime = 0.0;
   config.duration = 2000.0;
-  config.shards = benchShards();
   return config;
 }
 

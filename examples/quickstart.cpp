@@ -1,7 +1,7 @@
 // Quickstart: run one ECGRID scenario and print the headline numbers.
 //
 //   $ ./quickstart [--protocol ECGRID|GRID|GAF|FLOOD] [--hosts N]
-//                  [--speed M/S] [--duration S] [--seed N] [--shards N]
+//                  [--speed M/S] [--duration S] [--seed N]
 //                  [--trace-events PATH] [--telemetry PATH] [--profile]
 //                  [--log SPEC]
 //
@@ -10,7 +10,7 @@
 //   --trace-events=ev.jsonl  write protocol event spans (convert with
 //                            tools/trace_chrome.py, open in Perfetto)
 //   --telemetry=tm.jsonl     stream run-health samples (ecgrid-telemetry
-//                            v1; validate with tools/trace_check.py)
+//                            v2; validate with tools/trace_check.py)
 //   --telemetry-every=N      telemetry cadence in committed events
 //   --profile                per-event-label dispatch counts + wall time
 //   --log=info,mac=debug     per-component log levels with sim-time stamps
@@ -28,8 +28,7 @@ int main(int argc, char** argv) {
   util::Flags flags(argc, argv,
                     {"protocol", "hosts", "speed", "duration", "seed",
                      "flows", "pps", "latency-percentiles", "trace-events",
-                     "telemetry", "telemetry-every", "shards", "profile",
-                     "log"});
+                     "telemetry", "telemetry-every", "profile", "log"});
 
   harness::ScenarioConfig config;
   auto protocol =
@@ -49,7 +48,6 @@ int main(int argc, char** argv) {
   config.telemetryPath = flags.getString("telemetry", "");
   config.telemetryEveryEvents =
       static_cast<std::uint64_t>(flags.getInt("telemetry-every", 16384));
-  config.shards = flags.getInt("shards", 1);
   config.profileSimulator = flags.getBool("profile", false);
   if (flags.has("log")) {
     util::Logger::configure(flags.getString("log", "info"));

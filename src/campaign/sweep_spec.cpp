@@ -128,8 +128,6 @@ void applyKey(harness::ScenarioConfig& config, const std::string& key,
     config.duration = finiteNumber(value, key);
   } else if (key == "sampleInterval") {
     config.sampleInterval = finiteNumber(value, key);
-  } else if (key == "shards") {
-    config.shards = intNumber(value, key);
   } else if (key == "auditInvariants") {
     config.auditInvariants = value.asBool();
   } else if (key == "gafModelOne") {

@@ -13,7 +13,6 @@
 #include "fault/fault_injector.hpp"
 #include "mobility/random_waypoint.hpp"
 #include "obs/observability.hpp"
-#include "sim/sharded/engine.hpp"
 #include "protocols/flooding/flooding_protocol.hpp"
 #include "protocols/grid/grid_protocol.hpp"
 #include "stats/energy_recorder.hpp"
@@ -110,16 +109,6 @@ ScenarioResult runScenario(const ScenarioConfig& config) {
   // Before anything is scheduled, so every event of the run gets a
   // perturbed tie-break key (determinism analysis; see scenario.hpp).
   if (config.perturbTieBreak) simulator.perturbTieBreaks();
-  ECGRID_REQUIRE(config.shards >= 1, "need at least one shard");
-  if (config.shards > 1) {
-    // Swap in the sharded engine before any component can schedule.
-    // shards == 1 deliberately never touches the engine: the serial
-    // queue is the oracle the digest-parity tests compare against.
-    sim::sharded::ShardedEngineConfig engineConfig;
-    engineConfig.shards = config.shards;
-    engineConfig.fieldWidth = config.fieldSize;
-    simulator.enableSharding(engineConfig);
-  }
 
   // The hub must exist before any component so constructor-time
   // obs::counter() registrations resolve to live cells.
@@ -140,8 +129,7 @@ ScenarioResult runScenario(const ScenarioConfig& config) {
     telemetry = &observability.openTelemetry(
         config.telemetryPath, config.telemetryEveryEvents,
         {{"protocol", toString(config.protocol)},
-         {"seed", std::to_string(config.seed)},
-         {"shards", std::to_string(config.shards)}});
+         {"seed", std::to_string(config.seed)}});
     // obs/ may not include src/check (layer DAG), so the harness injects
     // the alloc-audit counters the samples report.
     telemetry->setAllocSampler([] {
@@ -210,14 +198,6 @@ ScenarioResult runScenario(const ScenarioConfig& config) {
     } else {
       metered.push_back(&node);
     }
-    // Shard-ownership registration (no-op on the serial path). The
-    // provider reads the host's true x lazily; mobility legs are drawn
-    // from the host's dedicated stream in the same sequence regardless
-    // of when they are realised, so ownership lookups cannot perturb
-    // the run.
-    net::Node* owned = &node;
-    simulator.registerShardHost(sim::hostEventKey(node.id()),
-                                [owned] { return owned->truePosition().x; });
   }
 
   stats::EnergyRecorder recorder(network, config.sampleInterval, metered);
@@ -398,23 +378,6 @@ ScenarioResult runScenario(const ScenarioConfig& config) {
   result.eventsExecuted = simulator.eventsExecuted();
   result.auditRuns = auditor.runs();
   result.digestTrace = std::move(digestTrace);
-  if (const sim::sharded::ShardedEngine* engine = simulator.shardedEngine()) {
-    result.crossShardEvents = engine->crossShardEvents();
-    result.shardMigrations = engine->hostMigrations();
-    result.shardCommitted = engine->committedPerShard();
-    result.shardWindowStalls = engine->windowStalls();
-    std::uint64_t total = 0;
-    std::uint64_t peak = 0;
-    for (std::uint64_t count : result.shardCommitted) {
-      total += count;
-      peak = std::max(peak, count);
-    }
-    if (total > 0 && result.shardCommitted.size() > 1) {
-      result.shardImbalance =
-          static_cast<double>(peak) * static_cast<double>(result.shardCommitted.size()) /
-          static_cast<double>(total);
-    }
-  }
   result.peakQueueDepth = static_cast<std::uint64_t>(simulator.peakQueueDepth());
   result.slabSlotsTotal = static_cast<std::uint64_t>(simulator.slabSlotsTotal());
   if (telemetry != nullptr) {

@@ -62,18 +62,12 @@ struct ScenarioConfig {
   double sampleInterval = 10.0;
   std::uint64_t seed = 1;
 
-  /// Spatial shards for the event engine (sim/sharded). 1 = the serial
-  /// single-queue oracle, untouched. >1 stripes the field into that many
-  /// column shards, each owning its hosts' events, with boundary events
-  /// crossing per-edge mailboxes — committed in the identical global
-  /// order, so the run's digest trace, metrics, and results are
-  /// byte-identical at any shard count (gated in tests/sharded_test.cpp).
-  int shards = 1;
-
   // invariant auditing (src/check): when enabled, the standard audits run
   // every `auditPeriodEvents` executed events and a violation aborts the
-  // run with std::logic_error. Tests keep this on; benches leave it off
-  // so figure numbers are not perturbed by audit-time battery reads.
+  // run with std::logic_error. Audits only read state (battery levels are
+  // peeked, not integrated), so an audited run traces the same digests as
+  // an unaudited one. Tests keep this on; benches leave it off because
+  // the sweeps cost time.
   bool auditInvariants = false;
   std::uint64_t auditPeriodEvents = 2000;
 
@@ -141,9 +135,9 @@ struct ScenarioConfig {
   std::string eventTracePath;
 
   /// Run-health telemetry (obs::RunTelemetry): when non-empty, stream
-  /// "ecgrid-telemetry" v1 JSONL health samples — sim-time progress vs
-  /// wall time, events/s, queue depth and slab high-water, per-shard
-  /// dispatch counts, alloc-audit phase counters — into this file,
+  /// "ecgrid-telemetry" v2 JSONL health samples — sim-time progress vs
+  /// wall time, events/s, queue depth and slab high-water, alloc-audit
+  /// phase counters — into this file,
   /// sampled every `telemetryEveryEvents` committed events (shares the
   /// periodic hook with the auditor and digest sampler). Sampling reads
   /// state only — no RNG, no scheduling — so replay digests stay
@@ -213,25 +207,11 @@ struct ScenarioResult {
   std::uint64_t eventsExecuted = 0;
   std::uint64_t auditRuns = 0;  ///< invariant-audit sweeps completed
 
-  // sharded-engine accounting (both zero when config.shards == 1).
-  // Engine-level counters live here rather than in `metrics` so metric
-  // snapshots stay byte-identical across shard counts.
-  std::uint64_t crossShardEvents = 0;  ///< boundary events through mailboxes
-  std::uint64_t shardMigrations = 0;   ///< host ownership changes observed
-
-  // Run-health roll-ups (PR 10): deterministic engine-state high-water
-  // marks, populated for every run whether or not a telemetry file was
-  // requested. Plain fields rather than `metrics` entries for the same
-  // reason as the shard counters above.
+  // Run-health roll-ups: deterministic engine-state high-water marks,
+  // populated for every run whether or not a telemetry file was
+  // requested.
   std::uint64_t peakQueueDepth = 0;  ///< event-queue depth high-water mark
   std::uint64_t slabSlotsTotal = 0;  ///< pooled event slots ever allocated
-  /// Events committed per shard (empty when config.shards == 1).
-  std::vector<std::uint64_t> shardCommitted;
-  /// max/mean over shardCommitted; 1.0 when serial or perfectly balanced.
-  double shardImbalance = 1.0;
-  /// Stalled (shard, window) pairs — always 0 in sequenced scenario runs
-  /// (no window barriers); meaningful for engine-level windowed workloads.
-  std::uint64_t shardWindowStalls = 0;
   /// Samples written to config.telemetryPath (0 when telemetry was off).
   std::uint64_t telemetrySamples = 0;
 

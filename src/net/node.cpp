@@ -124,19 +124,12 @@ RoutingProtocol& Node::protocol() {
 
 void Node::start() {
   ECGRID_CHECK(protocol_ != nullptr, "start() before setProtocol()");
-  // Host-context scope (here and in sendFromApp/restart): these are the
-  // entry points where hub-owned callers (network start-up, traffic
-  // ticks, fault injection) cross into per-host code, so timers the
-  // protocol stack schedules from them inherit this host's shard under
-  // the sharded engine. Free on the serial path.
-  sim::Simulator::HostScope scope(sim_, sim::hostEventKey(config_.id));
   protocol_->start();
 }
 
 void Node::sendFromApp(NodeId destination, int payloadBytes,
                        const DataTag& tag) {
   if (!alive()) return;
-  sim::Simulator::HostScope scope(sim_, sim::hostEventKey(config_.id));
   if (auto* tracer = obs::tracer(sim_)) {
     tracer->begin("pkt", "flow", flowSpanId(tag), config_.id,
                   {{"dst", destination},
@@ -211,7 +204,6 @@ void Node::restart() {
   if (auto* tracer = obs::tracer(sim_)) {
     tracer->instant("fault", "restart", config_.id);
   }
-  sim::Simulator::HostScope scope(sim_, sim::hostEventKey(config_.id));
   radio_->powerUp();
   attachToMedia();
   tracker_->restart();

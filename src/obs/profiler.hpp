@@ -37,8 +37,7 @@ class ECGRID_DOMAIN_PER_SCENARIO SimProfiler final : public sim::ExecutionProbe 
       : queueSampleEvery_(queueSampleEveryEvents) {}
 
   void onEvent(const char* label, double wallSeconds, sim::Time simTime,
-               std::uint64_t eventsExecuted, std::size_t queueSize,
-               int shard) override;
+               std::uint64_t eventsExecuted, std::size_t queueSize) override;
 
   struct LabelStats {
     std::uint64_t count = 0;
@@ -47,12 +46,6 @@ class ECGRID_DOMAIN_PER_SCENARIO SimProfiler final : public sim::ExecutionProbe 
 
   /// Attribution merged by label string, in lexicographic order.
   [[nodiscard]] std::map<std::string, LabelStats> byLabel() const;
-
-  /// Per-shard dispatch counts and wall time, indexed by shard id (one
-  /// entry, shard 0, on the serial engine).
-  [[nodiscard]] const std::vector<LabelStats>& byShard() const {
-    return byShard_;
-  }
 
   /// (sim time, queue size) samples on the configured event cadence.
   [[nodiscard]] const std::vector<std::pair<double, double>>&
@@ -66,7 +59,6 @@ class ECGRID_DOMAIN_PER_SCENARIO SimProfiler final : public sim::ExecutionProbe 
   /// Fold the attribution into `metrics` as profile.events.<label>.count /
   /// .wall_s plus profile.events_total and profile.wall_s_total. Labels'
   /// '/' separators become '.' to stay inside the metric-name charset.
-  /// Per-shard attribution lands as profile.shards.<k>.count / .wall_s.
   void mergeInto(MetricsRegistry& metrics) const;
 
  private:
@@ -74,7 +66,6 @@ class ECGRID_DOMAIN_PER_SCENARIO SimProfiler final : public sim::ExecutionProbe 
   std::uint64_t events_ = 0;
   double totalWall_ = 0.0;
   std::map<const char*, LabelStats> byPointer_;
-  std::vector<LabelStats> byShard_;
   std::vector<std::pair<double, double>> queueDepth_;
 };
 

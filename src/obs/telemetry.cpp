@@ -1,10 +1,7 @@
 #include "obs/telemetry.hpp"
 
-#include <algorithm>
 #include <chrono>  // ecgrid-lint: allow(banned-random)
-#include <vector>
 
-#include "sim/sharded/engine.hpp"
 #include "util/error.hpp"
 
 namespace ecgrid::obs {
@@ -36,22 +33,6 @@ void writeEscaped(std::FILE* out, const char* s) {
   }
 }
 
-/// max/mean ratio over per-shard committed counts; 1.0 for degenerate
-/// inputs (serial, single shard, nothing committed yet).
-double imbalanceRatio(const std::vector<std::uint64_t>& committed) {
-  if (committed.size() < 2) return 1.0;
-  std::uint64_t total = 0;
-  std::uint64_t peak = 0;
-  for (std::uint64_t count : committed) {
-    total += count;
-    peak = std::max(peak, count);
-  }
-  if (total == 0) return 1.0;
-  const double mean =
-      static_cast<double>(total) / static_cast<double>(committed.size());
-  return static_cast<double>(peak) / mean;
-}
-
 }  // namespace
 
 RunTelemetry::RunTelemetry(sim::Simulator& sim, const std::string& path,
@@ -61,7 +42,7 @@ RunTelemetry::RunTelemetry(sim::Simulator& sim, const std::string& path,
   out_ = std::fopen(path.c_str(), "w");
   ECGRID_REQUIRE(out_ != nullptr, "cannot open telemetry output: " + path);
   std::fprintf(out_,
-               "{\"schema\":\"ecgrid-telemetry\",\"version\":1,"
+               "{\"schema\":\"ecgrid-telemetry\",\"version\":2,"
                "\"sample_every_events\":%llu",
                static_cast<unsigned long long>(sampleEvery_));
   for (const auto& [key, value] : meta) {
@@ -98,22 +79,6 @@ void RunTelemetry::writeHealthFields(double wallNow) {
                alloc.phase,
                static_cast<unsigned long long>(alloc.allocations),
                static_cast<unsigned long long>(alloc.hotAllocations));
-  const sim::sharded::ShardedEngine* engine = sim_.shardedEngine();
-  if (engine != nullptr) {
-    const std::vector<std::uint64_t> committed = engine->committedPerShard();
-    std::fprintf(out_, ",\"shards\":%d,\"shard_committed\":[",
-                 engine->shardCount());
-    for (std::size_t s = 0; s < committed.size(); ++s) {
-      std::fprintf(out_, "%s%llu", s == 0 ? "" : ",",
-                   static_cast<unsigned long long>(committed[s]));
-    }
-    std::fprintf(out_,
-                 "],\"shard_imbalance\":%.6f,\"window_stalls\":%llu,"
-                 "\"cross_shard\":%llu",
-                 imbalanceRatio(committed),
-                 static_cast<unsigned long long>(engine->windowStalls()),
-                 static_cast<unsigned long long>(engine->crossShardEvents()));
-  }
 }
 
 void RunTelemetry::sample() {
@@ -159,19 +124,6 @@ void RunTelemetry::finish() {
                eventsRate, simRate);
   std::fflush(out_);
   finished_ = true;
-}
-
-TelemetryRollup RunTelemetry::rollup() const {
-  TelemetryRollup rollup;
-  rollup.samples = samples_;
-  rollup.peakQueueDepth = sim_.peakQueueDepth();
-  rollup.slabSlots = sim_.slabSlotsTotal();
-  const sim::sharded::ShardedEngine* engine = sim_.shardedEngine();
-  if (engine != nullptr) {
-    rollup.shardImbalance = imbalanceRatio(engine->committedPerShard());
-    rollup.windowStalls = engine->windowStalls();
-  }
-  return rollup;
 }
 
 }  // namespace ecgrid::obs

@@ -1,23 +1,21 @@
-// RunTelemetry — live run-health probe streaming "ecgrid-telemetry" v1.
+// RunTelemetry — live run-health probe streaming "ecgrid-telemetry" v2.
 //
 // Long-horizon runs (city-scale scenarios, campaign sweeps) execute for
 // minutes to hours, and without a health stream a wedged run looks
 // exactly like a slow one. RunTelemetry periodically snapshots the
 // engine's health surface and appends one JSON object per sample:
 //
-//   {"schema":"ecgrid-telemetry","version":1,"sample_every_events":16384,
+//   {"schema":"ecgrid-telemetry","version":2,"sample_every_events":16384,
 //    "protocol":"ECGRID","seed":"7"}
 //   {"kind":"sample","seq":1,"events":16384,"sim_t":4.012345,
 //    "wall_s":0.031922,"events_per_wall_s":513258.1,"sim_per_wall":125.7,
 //    "queue_depth":412,"peak_queue_depth":498,"slab_slots":512,
-//    "alloc_phase":"steady","alloc_count":0,"alloc_hot":0,
-//    "shards":4,"shard_committed":[5122,3810,3800,3652],
-//    "shard_imbalance":1.25,"window_stalls":0,"cross_shard":118}
+//    "alloc_phase":"steady","alloc_count":0,"alloc_hot":0}
 //   {"kind":"summary","samples":12,"events":196608,...}
 //
 // Sampling is driven by committed-event count (the harness periodic
 // hook), never by wall time — so WHICH samples exist, and every
-// deterministic field in them (events, sim_t, depths, shard counts), is
+// deterministic field in them (events, sim_t, depths, slab slots), is
 // a pure function of the scenario, identical on any machine. Only the
 // wall_s / events_per_wall_s / sim_per_wall fields vary across hosts;
 // they are reporting-only, never fed back into the simulation, which is
@@ -27,10 +25,6 @@
 // Determinism contract: sampling draws zero RNG, schedules nothing, and
 // only reads engine state — so a run with telemetry armed replays to
 // byte-identical state digests (gated in tests/telemetry_test.cpp).
-//
-// The serial-engine fields are always present; the shard fields
-// (shards/shard_committed/shard_imbalance/window_stalls/cross_shard)
-// appear only when the simulator runs the sharded engine.
 #pragma once
 
 #include <cstdint>
@@ -54,19 +48,6 @@ struct AllocSample {
   std::uint64_t hotAllocations = 0;
 };
 using AllocSampler = std::function<AllocSample()>;
-
-/// Deterministic roll-up of one run's telemetry, for callers that fold
-/// health stats into records that must stay byte-reproducible (campaign
-/// JSONL): every field is a pure function of the event schedule.
-struct TelemetryRollup {
-  std::uint64_t samples = 0;
-  std::size_t peakQueueDepth = 0;
-  std::size_t slabSlots = 0;
-  /// max(per-shard committed) / mean(per-shard committed); 1.0 when
-  /// perfectly balanced or when running serial / a single shard.
-  double shardImbalance = 1.0;
-  std::uint64_t windowStalls = 0;
-};
 
 class ECGRID_DOMAIN_PER_SCENARIO RunTelemetry {
  public:
@@ -100,14 +81,9 @@ class ECGRID_DOMAIN_PER_SCENARIO RunTelemetry {
 
   [[nodiscard]] std::uint64_t samplesWritten() const { return samples_; }
 
-  /// Deterministic roll-up of everything sampled so far (see
-  /// TelemetryRollup). Valid before or after finish().
-  [[nodiscard]] TelemetryRollup rollup() const;
-
  private:
   /// Fields shared by sample and summary records: progress counters,
-  /// wall-side rates, depth/slab high-water, alloc-audit phase counts,
-  /// and the shard block when sharded.
+  /// wall-side rates, depth/slab high-water, alloc-audit phase counts.
   void writeHealthFields(double wallSeconds);
 
   sim::Simulator& sim_;

@@ -126,9 +126,7 @@ ECGRID_HOT_PATH void Channel::arrivalDone(Frame* frame) {
 
 ECGRID_HOT_PATH void Channel::deliverTo(const Attachment& attachment,
                                         net::NodeId senderId,
-                                        const geo::Vec2& senderPos,
-                                        const net::Packet& stamped,
-                                        sim::Time duration, bool batched) {
+                                        const geo::Vec2& senderPos) {
   ECGRID_HOT_SCOPE();
   const double rangeSq = config_.rangeMeters * config_.rangeMeters;
   const double interfSq =
@@ -154,33 +152,14 @@ ECGRID_HOT_PATH void Channel::deliverTo(const Attachment& attachment,
       decodable = false;
     }
   }
-  if (batched) {
-    // The key is drawn here, where a per-receiver schedule would be.
-    if (arrivals_.size() == arrivals_.capacity()) {
-      // High-water growth (the largest fan-out seen), like scratch_.
-      ECGRID_ALLOC_EXEMPT();
-      arrivals_.reserve(arrivals_.capacity() * 2);
-    }
-    arrivals_.push_back(Arrival{sim_.now() + delay, delay,
-                                sim_.takeEventKey(), receiver, decodable});
-    return;
+  // The key is drawn here, where a per-receiver schedule would be.
+  if (arrivals_.size() == arrivals_.capacity()) {
+    // High-water growth (the largest fan-out seen), like scratch_.
+    ECGRID_ALLOC_EXEMPT();
+    arrivals_.reserve(arrivals_.capacity() * 2);
   }
-  // Sharded engine: scheduleFor, not schedule — the reception belongs to
-  // the receiver's host, which the engine may own on the other side of a
-  // stripe edge (the frame-crossing-a-shard-boundary event).
-  if (decodable) {
-    sim_.scheduleFor(
-        sim::hostEventKey(receiver->id()), delay,
-        [receiver, stamped, duration] {
-          receiver->beginReceive(stamped, duration);
-        },
-        "phy/deliver");
-  } else {
-    sim_.scheduleFor(
-        sim::hostEventKey(receiver->id()), delay,
-        [receiver, duration] { receiver->beginInterference(duration); },
-        "phy/interference");
-  }
+  arrivals_.push_back(Arrival{sim_.now() + delay, delay, sim_.takeEventKey(),
+                              receiver, decodable});
 }
 
 ECGRID_HOT_PATH void Channel::scheduleArrivals(Frame* frame) {
@@ -228,7 +207,6 @@ ECGRID_HOT_PATH void Channel::transmitFrom(Radio& sender,
                    attachments_[senderId].radio == &sender,
                "transmitting radio is not attached to this channel");
   geo::Vec2 senderPos = attachments_[senderId].position();
-  const bool batched = sim_.shardedEngine() == nullptr;
   arrivals_.clear();
 
   if (index_) {
@@ -240,13 +218,12 @@ ECGRID_HOT_PATH void Channel::transmitFrom(Radio& sender,
     std::sort(scratch_.begin(), scratch_.end());
     for (std::size_t id : scratch_) {
       if (id == senderId) continue;
-      deliverTo(attachments_[id], sender.id(), senderPos, stamped, duration,
-                batched);
+      deliverTo(attachments_[id], sender.id(), senderPos);
     }
   } else {
     for (const Attachment& a : attachments_) {
       if (a.radio == nullptr || a.radio == &sender) continue;
-      deliverTo(a, sender.id(), senderPos, stamped, duration, batched);
+      deliverTo(a, sender.id(), senderPos);
     }
   }
   // Nobody in reach needs no frame at all.

@@ -19,8 +19,7 @@
 // run and its receivers' reception ends another (sim::EventQueue runs):
 // two heap entries per frame instead of two per receiver, with every
 // arrival and reception end still its own labelled, cancellable event
-// taking the sequence number a per-receiver schedule() would. The
-// sharded engine has no runs and keeps per-receiver scheduleFor().
+// taking the sequence number a per-receiver schedule() would.
 #pragma once
 
 #include <cstdint>
@@ -154,8 +153,7 @@ class ECGRID_DOMAIN_PER_SCENARIO Channel {
   };
 
   void deliverTo(const Attachment& attachment, net::NodeId senderId,
-                 const geo::Vec2& senderPos, const net::Packet& stamped,
-                 sim::Time duration, bool batched);
+                 const geo::Vec2& senderPos);
   void scheduleArrivals(Frame* frame);
   Frame* acquireFrame(net::Packet stamped, sim::Time duration);
   void arrivalDone(Frame* frame);

@@ -99,9 +99,9 @@ void Radio::rearmDepletion() {
   }
   // Every Idle<->Rx/Tx change lands here; moving the pending timer in
   // place orders it exactly like cancel + schedule, without the churn.
-  // Where it cannot move (the sharded engine), cancel and re-arm.
+  // retime() declines only when no timer is pending (the first arm, or
+  // one that power-off cancelled), so arm a fresh one.
   if (sim_.retime(depletion_, horizon)) return;
-  depletion_.cancel();
   depletion_ = sim_.schedule(horizon, [this] { die(); }, "phy/battery");
 }
 

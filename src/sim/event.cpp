@@ -98,13 +98,13 @@ ECGRID_HOT_PATH EventHandle EventQueue::push(Time time, InlineTask action,
   slot.action = std::move(action);
   const EventKey key = takeKey();
   heapInsert(HeapEntry{time, key.tieKey, key.sequence, index});
-  return makeHandle(this, index, slot.generation);
+  return EventHandle(this, index, slot.generation);
 }
 
 bool EventQueue::retime(const EventHandle& handle, Time time) {
-  std::uint32_t index = 0;
-  std::uint32_t generation = 0;
-  if (!handleSlot(handle, this, index, generation)) return false;
+  if (handle.queue_ != this) return false;
+  const std::uint32_t index = handle.slot_;
+  const std::uint32_t generation = handle.generation_;
   if (index >= slots_.size()) return false;
   Slot& slot = slots_[index];
   if (!slot.live || slot.generation != generation || slot.cancelled ||
@@ -181,7 +181,7 @@ ECGRID_HOT_PATH EventHandle EventQueue::pushToRun(RunId run, Time time,
       siftUp(heapPos_[run]);
     }
   }
-  return makeHandle(this, index, slots_[index].generation);
+  return EventHandle(this, index, slots_[index].generation);
 }
 
 void EventQueue::closeRun(RunId run) {

@@ -70,28 +70,7 @@ inline bool runsBefore(Time ta, const EventKey& a, Time tb,
   return a.sequence < b.sequence;
 }
 
-/// Backend interface behind EventHandle: anything owning pooled event
-/// slots addressed by (index, generation). The serial EventQueue and the
-/// sharded engine's per-shard queues (sim/sharded/shard_queue.hpp) both
-/// implement it, so a handle is oblivious to which engine minted it.
-class EventTarget {
- public:
-  virtual ~EventTarget() = default;
-
- protected:
-  friend class EventHandle;
-  virtual void cancelSlot(std::uint32_t slot, std::uint32_t generation) = 0;
-  virtual bool slotPending(std::uint32_t slot,
-                           std::uint32_t generation) const = 0;
-  /// The (slot, generation) behind `handle` when it was minted by
-  /// `target`; false for inert handles and other backends' handles.
-  static bool handleSlot(const EventHandle& handle, const EventTarget* target,
-                         std::uint32_t& slot, std::uint32_t& generation);
-  /// Handle factory for implementations (EventHandle's constructor is
-  /// private to keep (slot, generation) pairs unforgeable).
-  static EventHandle makeHandle(EventTarget* target, std::uint32_t slot,
-                                std::uint32_t generation);
-};
+class EventQueue;
 
 /// Handle to a scheduled event. Default-constructed handles are inert.
 /// Copyable; all copies refer to the same event. A handle must not be
@@ -109,36 +88,21 @@ class EventHandle {
   [[nodiscard]] bool pending() const;
 
  private:
-  friend class EventTarget;
-  EventHandle(EventTarget* target, std::uint32_t slot,
-              std::uint32_t generation)
-      : target_(target), slot_(slot), generation_(generation) {}
+  // Only the queue mints handles, which keeps (slot, generation) pairs
+  // unforgeable.
+  friend class EventQueue;
+  EventHandle(EventQueue* queue, std::uint32_t slot, std::uint32_t generation)
+      : queue_(queue), slot_(slot), generation_(generation) {}
 
-  EventTarget* target_ = nullptr;
+  EventQueue* queue_ = nullptr;
   std::uint32_t slot_ = 0;
   std::uint32_t generation_ = 0;
 };
 
-inline bool EventTarget::handleSlot(const EventHandle& handle,
-                                    const EventTarget* target,
-                                    std::uint32_t& slot,
-                                    std::uint32_t& generation) {
-  if (handle.target_ == nullptr || handle.target_ != target) return false;
-  slot = handle.slot_;
-  generation = handle.generation_;
-  return true;
-}
-
-inline EventHandle EventTarget::makeHandle(EventTarget* target,
-                                           std::uint32_t slot,
-                                           std::uint32_t generation) {
-  return EventHandle(target, slot, generation);
-}
-
 /// Min-heap of events ordered by (time, sequence), backed by a slab of
 /// pooled records. Non-copyable and non-movable: handles store a pointer
 /// back to the queue.
-class ECGRID_DOMAIN_PER_SCENARIO EventQueue : public EventTarget {
+class ECGRID_DOMAIN_PER_SCENARIO EventQueue {
  public:
   EventQueue();
   EventQueue(const EventQueue&) = delete;
@@ -193,7 +157,6 @@ class ECGRID_DOMAIN_PER_SCENARIO EventQueue : public EventTarget {
   /// mode marks order-dependent logic — the simulator's data-race
   /// analogue. Never enable in runs whose numbers you intend to keep.
   void perturbTieBreak(RngStream stream) { tieBreakRng_ = stream; }
-  bool tieBreakPerturbed() const { return tieBreakRng_.has_value(); }
 
   /// Discards cancelled records, then moves the next live event's time and
   /// action into the out-parameters and removes it. Returns false when the
@@ -222,13 +185,11 @@ class ECGRID_DOMAIN_PER_SCENARIO EventQueue : public EventTarget {
   /// are recycled, never returned to the allocator).
   std::size_t slabSlots() const { return slots_.size(); }
 
- protected:
-  // EventTarget backends (EventHandle reaches them through the base).
-  void cancelSlot(std::uint32_t slot, std::uint32_t generation) override;
-  bool slotPending(std::uint32_t slot,
-                   std::uint32_t generation) const override;
-
  private:
+  friend class EventHandle;
+  void cancelSlot(std::uint32_t slot, std::uint32_t generation);
+  bool slotPending(std::uint32_t slot, std::uint32_t generation) const;
+
   static constexpr std::uint32_t kNoSlot = 0xffffffffu;
 
   /// One pooled record: an event, or the header of a run (isRun). A run
@@ -306,11 +267,11 @@ class ECGRID_DOMAIN_PER_SCENARIO EventQueue : public EventTarget {
 };
 
 inline void EventHandle::cancel() {
-  if (target_ != nullptr) target_->cancelSlot(slot_, generation_);
+  if (queue_ != nullptr) queue_->cancelSlot(slot_, generation_);
 }
 
 inline bool EventHandle::pending() const {
-  return target_ != nullptr && target_->slotPending(slot_, generation_);
+  return queue_ != nullptr && queue_->slotPending(slot_, generation_);
 }
 
 }  // namespace ecgrid::sim

@@ -25,12 +25,10 @@ class ExecutionProbe {
   /// Called after each executed event. `label` is the schedule site's
   /// static label, or nullptr for unlabeled events; `wallSeconds` is the
   /// callback's wall-clock cost; `queueSize` counts queued heap entries
-  /// (including not-yet-discarded cancellations) right after the event;
-  /// `shard` is the executing shard under the sharded engine, 0 on the
-  /// serial engine.
+  /// (including not-yet-discarded cancellations) right after the event.
   virtual void onEvent(const char* label, double wallSeconds, Time simTime,
-                       std::uint64_t eventsExecuted, std::size_t queueSize,
-                       int shard) = 0;
+                       std::uint64_t eventsExecuted,
+                       std::size_t queueSize) = 0;
 };
 
 }  // namespace ecgrid::sim

@@ -4,51 +4,17 @@
 #include <utility>
 
 #include "sim/probe.hpp"
-#include "sim/sharded/engine.hpp"
 #include "util/error.hpp"
 
 namespace ecgrid::sim {
 
 Simulator::Simulator(std::uint64_t masterSeed) : rngFactory_(masterSeed) {}
 
-// Out of line for the unique_ptr over the forward-declared engine.
-Simulator::~Simulator() = default;
-
-void Simulator::enableSharding(const sharded::ShardedEngineConfig& config) {
-  ECGRID_REQUIRE(engine_ == nullptr, "sharding already enabled");
-  ECGRID_REQUIRE(eventsExecuted_ == 0 && queue_.empty(),
-                 "enableSharding must precede all scheduling");
-  engine_ = std::make_unique<sharded::ShardedEngine>(config);
-  if (queue_.tieBreakPerturbed()) {
-    // perturbTieBreaks() ran first; arm the engine with the same stream.
-    // Both sides draw once per push from a fresh "check/tiebreak"
-    // stream, so the key sequences coincide.
-    engine_->perturbTieBreak(rngFactory_.stream("check/tiebreak"));
-  }
-}
-
-void Simulator::registerShardHost(std::uint64_t ownerKey,
-                                  std::function<double()> xProvider) {
-  if (engine_ != nullptr) engine_->registerHost(ownerKey, std::move(xProvider));
-}
-
-Simulator::HostScope::HostScope(Simulator& sim, std::uint64_t ownerKey)
-    : engine_(sim.engine_.get()) {
-  if (engine_ != nullptr) previousShard_ = engine_->enterHost(ownerKey);
-}
-
-Simulator::HostScope::~HostScope() {
-  if (engine_ != nullptr) engine_->exitHost(previousShard_);
-}
-
 ECGRID_HOT_PATH EventHandle Simulator::scheduleTaskIn(Time delay,
                                                       InlineTask action,
                                                       const char* label) {
   ECGRID_HOT_SCOPE();
   ECGRID_REQUIRE(delay >= 0.0, "cannot schedule into the past");
-  if (engine_ != nullptr) {
-    return engine_->pushLocal(now_ + delay, std::move(action), label);
-  }
   return queue_.push(now_ + delay, std::move(action), label);
 }
 
@@ -57,28 +23,10 @@ ECGRID_HOT_PATH EventHandle Simulator::scheduleTaskAt(Time when,
                                                       const char* label) {
   ECGRID_HOT_SCOPE();
   ECGRID_REQUIRE(when >= now_, "cannot schedule into the past");
-  if (engine_ != nullptr) {
-    return engine_->pushLocal(when, std::move(action), label);
-  }
   return queue_.push(when, std::move(action), label);
 }
 
-ECGRID_HOT_PATH EventHandle Simulator::scheduleTaskFor(std::uint64_t ownerKey,
-                                                       Time delay,
-                                                       InlineTask action,
-                                                       const char* label) {
-  ECGRID_HOT_SCOPE();
-  ECGRID_REQUIRE(delay >= 0.0, "cannot schedule into the past");
-  if (engine_ != nullptr) {
-    return engine_->pushFor(ownerKey, now_ + delay, std::move(action), label);
-  }
-  return queue_.push(now_ + delay, std::move(action), label);
-}
-
-RunId Simulator::openRun() {
-  ECGRID_REQUIRE(engine_ == nullptr, "runs need the serial engine");
-  return queue_.openRun();
-}
+RunId Simulator::openRun() { return queue_.openRun(); }
 
 void Simulator::closeRun(RunId run) { queue_.closeRun(run); }
 
@@ -99,45 +47,15 @@ ECGRID_HOT_PATH EventHandle Simulator::scheduleTaskInRun(RunId run, Time delay,
   return queue_.pushToRun(run, now_ + delay, key, std::move(action), label);
 }
 
-ECGRID_HOT_PATH EventKey Simulator::takeEventKey() {
-  ECGRID_REQUIRE(engine_ == nullptr, "event keys need the serial engine");
-  return queue_.takeKey();
-}
+ECGRID_HOT_PATH EventKey Simulator::takeEventKey() { return queue_.takeKey(); }
 
 ECGRID_HOT_PATH bool Simulator::retime(const EventHandle& handle, Time delay) {
   ECGRID_REQUIRE(delay >= 0.0, "cannot schedule into the past");
-  if (engine_ != nullptr) return false;
   return queue_.retime(handle, now_ + delay);
 }
 
-Time Simulator::nextEventTime() {
-  return engine_ != nullptr ? engine_->nextEventTime() : queue_.peekTime();
-}
-
-std::size_t Simulator::queueDepth() const {
-  return engine_ != nullptr ? engine_->queueDepthTotal()
-                            : queue_.sizeIncludingCancelled();
-}
-
-std::size_t Simulator::peakQueueDepth() const {
-  return engine_ != nullptr ? engine_->peakQueueDepth() : queue_.peakDepth();
-}
-
-std::size_t Simulator::slabSlotsTotal() const {
-  return engine_ != nullptr ? engine_->slabSlotsTotal() : queue_.slabSlots();
-}
-
 void Simulator::perturbTieBreaks() {
-  if (engine_ != nullptr) {
-    engine_->perturbTieBreak(rngFactory_.stream("check/tiebreak"));
-    return;
-  }
   queue_.perturbTieBreak(rngFactory_.stream("check/tiebreak"));
-}
-
-bool Simulator::tieBreaksPerturbed() const {
-  return engine_ != nullptr ? engine_->tieBreakPerturbed()
-                            : queue_.tieBreakPerturbed();
 }
 
 void Simulator::setPeriodicHook(std::uint64_t everyEvents,
@@ -149,7 +67,6 @@ void Simulator::setPeriodicHook(std::uint64_t everyEvents,
 }
 
 ECGRID_HOT_PATH bool Simulator::step(Time until) {
-  if (engine_ != nullptr) return stepSharded(until);
   Time time = kTimeZero;
   InlineTask action;
   const char* label = nullptr;
@@ -169,41 +86,10 @@ ECGRID_HOT_PATH bool Simulator::step(Time until) {
     const double wallSeconds =
         std::chrono::duration<double>(wallEnd - wallStart).count();
     probe_->onEvent(label, wallSeconds, now_, eventsExecuted_,
-                    queue_.sizeIncludingCancelled(), 0);
+                    queue_.sizeIncludingCancelled());
   } else {
     action();
   }
-  if (hook_ && eventsExecuted_ % hookEvery_ == 0) hook_();
-  return true;
-}
-
-ECGRID_HOT_PATH bool Simulator::stepSharded(Time until) {
-  // Mirror of the serial step() above, event for event: same clock
-  // advance, same counter bump, same probe and hook points — the engine
-  // only changes where the event record lives.
-  if (engine_->nextEventTime() > until) return false;
-  Time time = kTimeZero;
-  sharded::InlineTask task;
-  const char* label = nullptr;
-  int shard = 0;
-  if (!engine_->popNext(time, task, label, shard)) return false;
-  now_ = time;
-  ++eventsExecuted_;
-  if (probe_ != nullptr) {
-    // ecgrid-lint: allow(banned-random)
-    const auto wallStart = std::chrono::steady_clock::now();
-    task();
-    // ecgrid-lint: allow(banned-random)
-    const auto wallEnd = std::chrono::steady_clock::now();
-    const double wallSeconds =
-        std::chrono::duration<double>(wallEnd - wallStart).count();
-    probe_->onEvent(label, wallSeconds, now_, eventsExecuted_,
-                    engine_->queueDepthTotal(), shard);
-  } else {
-    task();
-  }
-  task.reset();
-  engine_->finishCurrent();
   if (hook_ && eventsExecuted_ % hookEvery_ == 0) hook_();
   return true;
 }

@@ -16,7 +16,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <string>
 
 #include "sim/event.hpp"
@@ -35,22 +34,9 @@ namespace ecgrid::sim {
 
 class ExecutionProbe;
 
-namespace sharded {
-class ShardedEngine;
-struct ShardedEngineConfig;
-}  // namespace sharded
-
-/// Stable owner key for host-directed events (scheduleFor / the sharded
-/// engine's host registry), derived from a net::NodeId without the sim
-/// layer depending on net/.
-constexpr std::uint64_t hostEventKey(std::int32_t hostId) {
-  return static_cast<std::uint64_t>(static_cast<std::uint32_t>(hostId));
-}
-
 class ECGRID_DOMAIN_PER_SCENARIO Simulator {
  public:
   explicit Simulator(std::uint64_t masterSeed = 1);
-  ~Simulator();
 
   Simulator(const Simulator&) = delete;
   Simulator& operator=(const Simulator&) = delete;
@@ -83,27 +69,9 @@ class ECGRID_DOMAIN_PER_SCENARIO Simulator {
     return scheduleTaskAt(when, InlineTask(std::forward<F>(action)), label);
   }
 
-  /// Schedule `action` on behalf of host `ownerKey` (hostEventKey of its
-  /// node id) — the boundary-crossing entry point for shared-medium
-  /// deliveries (phy::Channel, phy::PagingChannel). On the serial engine
-  /// this is exactly schedule(); on the sharded engine the event is
-  /// routed to the shard owning that host, crossing an edge mailbox when
-  /// the sender executes elsewhere. Cross-shard deliveries are fire-and-
-  /// forget: the returned handle is inert for them (every call site
-  /// discards it).
-  template <class F>
-  ECGRID_HOT_PATH EventHandle scheduleFor(std::uint64_t ownerKey, Time delay,
-                                          F&& action,
-                                          const char* label = nullptr) {
-    ECGRID_HOT_SCOPE();
-    return scheduleTaskFor(ownerKey, delay,
-                           InlineTask(std::forward<F>(action)), label);
-  }
-
   /// Runs (EventQueue::openRun): events sharing one heap entry, for a
   /// batch whose owner knows it will be scheduled close together — the
-  /// arrivals and reception ends of one frame (phy::Channel). Serial
-  /// engine only: callers check shardedEngine() first.
+  /// arrivals and reception ends of one frame (phy::Channel).
   RunId openRun();
   void closeRun(RunId run);
 
@@ -134,8 +102,8 @@ class ECGRID_DOMAIN_PER_SCENARIO Simulator {
   /// Move the pending event behind `handle` to `delay` seconds from now
   /// in place, running exactly where cancel() + schedule() would put it.
   /// Returns false, changing nothing, when the event is not pending in
-  /// the serial queue's heap (inert, cancelled, executing, a run item, or
-  /// on the sharded engine); the caller then schedules afresh.
+  /// the queue's heap (inert, cancelled, executing, or a run item); the
+  /// caller then schedules afresh.
   bool retime(const EventHandle& handle, Time delay);
 
   /// Monomorphic backends behind the schedule templates (the templates
@@ -146,8 +114,6 @@ class ECGRID_DOMAIN_PER_SCENARIO Simulator {
   EventHandle scheduleTaskInRun(RunId run, Time delay, EventKey key,
                                 InlineTask action, const char* label);
   EventHandle scheduleTaskAt(Time when, InlineTask action, const char* label);
-  EventHandle scheduleTaskFor(std::uint64_t ownerKey, Time delay,
-                              InlineTask action, const char* label);
 
   /// Run events until the queue drains or the clock passes `until`.
   /// Events scheduled exactly at `until` are executed.
@@ -163,54 +129,20 @@ class ECGRID_DOMAIN_PER_SCENARIO Simulator {
   std::uint64_t eventsExecuted() const { return eventsExecuted_; }
 
   /// Time of the next live event, or kTimeNever when the queue is empty.
-  Time nextEventTime();
+  Time nextEventTime() { return queue_.peekTime(); }
 
   // ---- Telemetry surface (src/obs/telemetry.hpp reads these) -----------
 
   /// Events queued right now: heap entries including not-yet-reclaimed
-  /// cancellations, plus mailbox-buffered boundary events when sharded.
-  std::size_t queueDepth() const;
+  /// cancellations.
+  std::size_t queueDepth() const { return queue_.sizeIncludingCancelled(); }
 
-  /// High-water mark of queueDepth over the run. Exact (per-push) on the
-  /// serial path; commit-granularity on the sharded engine.
-  std::size_t peakQueueDepth() const;
+  /// High-water mark of queueDepth over the run (exact, per push).
+  std::size_t peakQueueDepth() const { return queue_.peakDepth(); }
 
-  /// Pooled event-slot records ever allocated across all queues — the
-  /// slab high-water mark (slots recycle; slabs never shrink).
-  std::size_t slabSlotsTotal() const;
-
-  /// Swap the serial event queue for the sharded engine
-  /// (sim/sharded/engine.hpp, sequenced mode). Must be called before
-  /// anything is scheduled; the run then commits events in the identical
-  /// global order the serial queue would (the digest-parity contract).
-  /// The serial path is the oracle: with this never called, scheduling
-  /// and stepping do not touch the engine at all.
-  void enableSharding(const sharded::ShardedEngineConfig& config);
-
-  /// The sharded engine, or nullptr on the serial path.
-  sharded::ShardedEngine* shardedEngine() const { return engine_.get(); }
-
-  /// Register host `ownerKey` with a live x-position provider so the
-  /// sharded engine can derive (and migrate) its owning shard. No-op on
-  /// the serial path.
-  void registerShardHost(std::uint64_t ownerKey,
-                         std::function<double()> xProvider);
-
-  /// RAII host-execution context: while alive, events scheduled without
-  /// an owner key land on `ownerKey`'s shard — placed in the per-host
-  /// entry points (Node::start/restart/sendFromApp) so timer chains
-  /// inherit their host's shard. Null-safe: free on the serial path.
-  class HostScope {
-   public:
-    HostScope(Simulator& sim, std::uint64_t ownerKey);
-    ~HostScope();
-    HostScope(const HostScope&) = delete;
-    HostScope& operator=(const HostScope&) = delete;
-
-   private:
-    sharded::ShardedEngine* engine_;
-    int previousShard_ = 0;
-  };
+  /// Pooled event-slot records ever allocated — the slab high-water mark
+  /// (slots recycle; slabs never shrink).
+  std::size_t slabSlotsTotal() const { return queue_.slabSlots(); }
 
   /// Determinism-analysis debug mode: randomise the tie-break among
   /// equal-time events using the dedicated "check/tiebreak" stream (see
@@ -220,7 +152,6 @@ class ECGRID_DOMAIN_PER_SCENARIO Simulator {
   /// unperturbed run exactly when some component depends on the order
   /// of same-instant events.
   void perturbTieBreaks();
-  bool tieBreaksPerturbed() const;
 
   /// Install `hook` to run after every `everyEvents`-th executed event
   /// (the invariant auditor hangs off this). The hook must not assume it
@@ -244,16 +175,12 @@ class ECGRID_DOMAIN_PER_SCENARIO Simulator {
   const RngFactory& rng() const { return rngFactory_; }
 
  private:
-  bool stepSharded(Time until);
-
   Time now_ = kTimeZero;
   bool stopRequested_ = false;
   std::uint64_t eventsExecuted_ = 0;
   std::uint64_t hookEvery_ = 0;
   std::function<void()> hook_;
   EventQueue queue_;
-  /// Sharded engine (sequenced mode); nullptr = serial oracle path.
-  std::unique_ptr<sharded::ShardedEngine> engine_;
   RngFactory rngFactory_;
   obs::Observability* observability_ = nullptr;
   ExecutionProbe* probe_ = nullptr;

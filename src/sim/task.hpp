@@ -3,18 +3,14 @@
 // std::function's 16-byte small-buffer optimisation forces a heap
 // allocation for every closure that carries a net::Packet by value (the
 // MAC's SIFS-delayed ACK: this + 48-byte Packet ≈ 56 bytes) — one
-// malloc/free pair per such event. Both event engines store InlineTask
+// malloc/free pair per such event. The EventQueue stores InlineTask
 // instead: any nothrow-movable callable up to kInlineBytes lives directly
 // in the pooled event slot, so steady-state dispatch performs no heap
 // traffic at all. Larger callables fall back to a heap box transparently
 // (same observable semantics).
 //
-// The sharded engine's per-shard queues (sim/sharded/shard_queue.hpp)
-// adopted this shape in PR 7 and proved the 2.1–2.3× win; PR 9 migrated
-// the serial EventQueue and Simulator::schedule onto it, so the serial
-// oracle and the shards now share one slot layout. A std::function is 32
-// bytes and therefore always fits inline, which is how legacy
-// std::function-typed callables still ride the queues without double
+// A std::function is 32 bytes and therefore always fits inline, which is
+// how std::function-typed callables still ride the queue without double
 // indirection: the function object (and whatever allocation it already
 // made) is moved, never re-wrapped.
 #pragma once
@@ -31,11 +27,10 @@ namespace ecgrid::sim {
 class ECGRID_DOMAIN_PER_SCENARIO InlineTask {
  public:
   /// Sized for the largest hot-path closures, those carrying a
-  /// net::Packet by value (the MAC's ACK; the sharded engine's
-  /// per-receiver phy/deliver: receiver pointer + Packet + duration ≈
-  /// 64 bytes) with headroom for one more capture; anything bigger
-  /// transparently boxes on the heap. The serial engine's phy/deliver
-  /// reads its Packet from the channel's frame record (24 bytes).
+  /// net::Packet by value (the MAC's SIFS-delayed ACK ≈ 56 bytes), with
+  /// headroom for more captures; anything bigger transparently boxes on
+  /// the heap. phy/deliver reads its Packet from the channel's frame
+  /// record (24 bytes).
   static constexpr std::size_t kInlineBytes = 96;
 
   InlineTask() = default;
@@ -109,8 +104,8 @@ class ECGRID_DOMAIN_PER_SCENARIO InlineTask {
   void (*destroy_)(void*) = nullptr;
 };
 
-/// One InlineTask sits in every pooled event slot of every queue; at
-/// 100k hosts the slabs hold hundreds of thousands of these.
+/// One InlineTask sits in every pooled event slot; at 100k hosts the
+/// slabs hold hundreds of thousands of these.
 ECGRID_LAYOUT_BUDGET(InlineTask, 128);
 
 }  // namespace ecgrid::sim

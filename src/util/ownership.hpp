@@ -1,9 +1,8 @@
-// Ownership-domain tags — which shard of the system owns an object.
+// Ownership-domain tags — which part of the system owns an object.
 //
 // Thread-safety annotations (util/thread_annotations.hpp) say which lock
 // guards a field; these macros say which *execution domain* owns a whole
-// class, which is the contract the planned intra-run sharding (ROADMAP
-// item 2) will cut along. Three domains cover the repo (DESIGN.md §13):
+// class. Three domains cover the repo (DESIGN.md §13):
 //
 //   ECGRID_DOMAIN_PER_HOST      Owned by exactly one mobile host: the
 //                               protocol stack, MAC, radio, battery,

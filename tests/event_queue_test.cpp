@@ -14,6 +14,7 @@
 
 #include "sim/event.hpp"
 #include "sim/rng.hpp"
+#include "sim/task.hpp"
 
 namespace ecgrid::sim {
 namespace {
@@ -515,6 +516,59 @@ TEST(EventQueueRuns, ClosedRunsRecycleTheirRecords) {
   }
   // One header and eight items in flight at most, plus the executing slot.
   EXPECT_LE(queue.slabSlots(), 11u);
+}
+
+// ---------------------------------------------------------------------------
+// InlineTask: the closure type stored in every pooled event slot
+// ---------------------------------------------------------------------------
+
+TEST(InlineTask, InvokesInlineCallable) {
+  int hits = 0;
+  InlineTask task([&hits] { ++hits; });
+  ASSERT_TRUE(static_cast<bool>(task));
+  task();
+  task();
+  EXPECT_EQ(hits, 2);
+}
+
+TEST(InlineTask, MoveTransfersOwnership) {
+  int hits = 0;
+  InlineTask a([&hits] { ++hits; });
+  InlineTask b(std::move(a));
+  EXPECT_FALSE(static_cast<bool>(a));  // NOLINT(bugprone-use-after-move)
+  ASSERT_TRUE(static_cast<bool>(b));
+  b();
+  EXPECT_EQ(hits, 1);
+  InlineTask c;
+  c = std::move(b);
+  ASSERT_TRUE(static_cast<bool>(c));
+  c();
+  EXPECT_EQ(hits, 2);
+}
+
+TEST(InlineTask, OversizedCallableBoxesOnHeapWithSameSemantics) {
+  // Capture well past kInlineBytes to force the heap-box path.
+  struct Big {
+    double padding[32] = {};
+  };
+  Big big;
+  big.padding[31] = 7.0;
+  double seen = 0.0;
+  static_assert(sizeof(Big) > InlineTask::kInlineBytes);
+  InlineTask task([big, &seen] { seen = big.padding[31]; });
+  InlineTask moved(std::move(task));
+  moved();
+  EXPECT_DOUBLE_EQ(seen, 7.0);
+  moved.reset();
+  EXPECT_FALSE(static_cast<bool>(moved));
+}
+
+TEST(InlineTask, HoldsStdFunctionWithoutReWrapping) {
+  int hits = 0;
+  std::function<void()> fn = [&hits] { ++hits; };
+  InlineTask task(std::move(fn));
+  task();
+  EXPECT_EQ(hits, 1);
 }
 
 }  // namespace

@@ -42,7 +42,7 @@ TEST(JsonParse, StringEscapes) {
 
 TEST(JsonParse, RejectsMalformedInputWithLocus) {
   try {
-    parseJson("{\"a\": 1,\n  oops}");
+    static_cast<void>(parseJson("{\"a\": 1,\n  oops}"));
     FAIL() << "expected std::invalid_argument";
   } catch (const std::invalid_argument& e) {
     EXPECT_NE(std::string(e.what()).find("2:"), std::string::npos)
@@ -61,7 +61,7 @@ TEST(JsonParse, RejectsSurrogateEscapes) {
 
 TEST(JsonValueApi, AccessorMismatchNamesBothKinds) {
   try {
-    parseJson("[1]").asObject();
+    static_cast<void>(parseJson("[1]").asObject());
     FAIL() << "expected std::invalid_argument";
   } catch (const std::invalid_argument& e) {
     const std::string what = e.what();

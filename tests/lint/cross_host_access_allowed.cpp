@@ -3,12 +3,12 @@
 // The same remote-host reaches as cross_host_access_fires.cpp, each with
 // a justified suppression — the shape a reviewed exception takes (e.g. a
 // debug-only audit helper that inspects remote state read-only and never
-// ships in a sharded build).
+// ships in a release build).
 namespace ecgrid::protocols {
 
 struct NeighborPeekAudit {
   void peek() {
-    // Read-only diagnostic, compiled out of sharded builds.
+    // Read-only diagnostic, compiled out of release builds.
     // ecgrid-lint: allow(cross-host-access)
     auto* remote = network_.findNode(7);
     (void)remote;

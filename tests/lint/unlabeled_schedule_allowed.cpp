@@ -18,9 +18,6 @@ struct Simulator {
   template <class F>
   void scheduleAt(double when, F&& action, const char* label = nullptr) {}
   template <class F>
-  void scheduleFor(uint64 owner, double delay, F&& action,
-                   const char* label = nullptr) {}
-  template <class F>
   void scheduleInRun(RunId run, double delay, F&& action,
                      const char* label = nullptr) {}
   template <class F>
@@ -39,7 +36,6 @@ struct ExampleProtocol {
           tick();
         },
         "example/deadline");
-    sim_.scheduleFor(7, 0.5, [this] { tick(); }, "example/handoff");
     sim_.scheduleInRun(3, 0.1, [this] { tick(); }, kTickLabel);
     sim_.scheduleInRun(3, 0.1, EventKey{}, [this] { tick(); },
                        "example/batch");

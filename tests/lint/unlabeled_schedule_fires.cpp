@@ -5,16 +5,11 @@
 // can only count them as "unlabeled". Each call below misses its label
 // in a different way.
 
-using uint64 = unsigned long long;
-
 struct Simulator {
   template <class F>
   void schedule(double delay, F&& action, const char* label = nullptr) {}
   template <class F>
   void scheduleAt(double when, F&& action, const char* label = nullptr) {}
-  template <class F>
-  void scheduleFor(uint64 owner, double delay, F&& action,
-                   const char* label = nullptr) {}
 };
 
 struct ExampleProtocol {
@@ -24,7 +19,6 @@ struct ExampleProtocol {
                     [this] {
                       tick();
                     });
-    sim_.scheduleFor(7, 0.5, [this] { tick(); });
     sim_.schedule(1.0, [this] { tick(); }, nullptr);
   }
   void tick() {}

@@ -9,7 +9,6 @@
 #include "phy/channel.hpp"
 #include "phy/paging.hpp"
 #include "phy/radio.hpp"
-#include "sim/sharded/engine.hpp"
 #include "sim/simulator.hpp"
 
 namespace ecgrid::phy {
@@ -198,31 +197,20 @@ TEST(Radio, DiesExactlyAtDepletion) {
   EXPECT_EQ(radio.state(), RadioState::kOff);
 }
 
-TEST(Radio, DepletionTimerFollowsPowerChangesOnBothEngines) {
+TEST(Radio, DepletionTimerFollowsPowerChanges) {
   // Sleeping at 0.5 s cuts the draw, so the death first armed for 1.0 s
-  // must move later — in place on the serial queue, by cancel + re-arm
-  // on the sharded engine, where a stale timer would kill the host early.
-  std::vector<sim::Time> deaths;
-  for (int shards : {1, 4}) {
-    sim::Simulator simulator;
-    if (shards > 1) {
-      sim::sharded::ShardedEngineConfig config;
-      config.shards = shards;
-      simulator.enableSharding(config);
-    }
-    energy::Battery small(0.863);  // exactly 1 s of idle+GPS
-    Radio radio(simulator, small, energy::PowerProfile{}, 7);
-    sim::Time died = -1.0;
-    radio.setDeathCallback([&] { died = simulator.now(); });
-    simulator.schedule(0.5, [&] { radio.sleep(); }, "test/sleep");
-    simulator.run(1.5);
-    EXPECT_FALSE(radio.dead()) << shards << " shard(s)";
-    simulator.run(100.0);
-    EXPECT_TRUE(radio.dead()) << shards << " shard(s)";
-    deaths.push_back(died);
-  }
-  EXPECT_GT(deaths[0], 1.5);
-  EXPECT_EQ(deaths[0], deaths[1]);
+  // must move later; a stale timer would kill the host early.
+  sim::Simulator simulator;
+  energy::Battery small(0.863);  // exactly 1 s of idle+GPS
+  Radio radio(simulator, small, energy::PowerProfile{}, 7);
+  sim::Time died = -1.0;
+  radio.setDeathCallback([&] { died = simulator.now(); });
+  simulator.schedule(0.5, [&] { radio.sleep(); }, "test/sleep");
+  simulator.run(1.5);
+  EXPECT_FALSE(radio.dead());
+  simulator.run(100.0);
+  EXPECT_TRUE(radio.dead());
+  EXPECT_GT(died, 1.5);
 }
 
 TEST(Radio, MediumIdleAtCoversReceptionsAndNav) {

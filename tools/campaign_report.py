@@ -9,8 +9,7 @@ Record schema:
    "config": {axis-key: value, ...}, "ok": bool, "error": str,
    "result": {scalar metrics..., "metrics": {name: value, ...}},
    "telemetry": {"peakQueueDepth": n, "slabSlots": n,
-                 "eventsPerSimSecond": x, "shardImbalance": x,
-                 "windowStalls": n, "crossShardEvents": n}}
+                 "eventsPerSimSecond": x}}
 
 `result` (and the deterministic `telemetry` roll-up, PR 10) is present
 iff `ok` is true; `error` is non-empty iff `ok` is false. Torn trailing
@@ -26,9 +25,8 @@ Modes:
               record carries the required keys with the right types,
               fingerprints are 16 lowercase hex chars and unique,
               ok/error/result agree, and any telemetry roll-up is
-              complete (all six keys, numeric, imbalance >= 1, counts
-              >= 0, never on a failed record). Exit 0 = valid,
-              1 = violations.
+              complete (all three keys, numeric, >= 0, never on a
+              failed record). Exit 0 = valid, 1 = violations.
   --db PATH — read records from an ecgrid_query.py SQLite store instead
               of JSONL files and print the same grouped report
               (report mode only; --check needs the raw JSONL).
@@ -74,9 +72,6 @@ TELEMETRY_KEYS = (
     "peakQueueDepth",
     "slabSlots",
     "eventsPerSimSecond",
-    "shardImbalance",
-    "windowStalls",
-    "crossShardEvents",
 )
 
 
@@ -90,11 +85,7 @@ def check_telemetry(telemetry):
             yield "telemetry key %r missing or non-numeric" % key
     for key in sorted(set(telemetry) - set(TELEMETRY_KEYS)):
         yield "unexpected telemetry key %r" % key
-    imbalance = telemetry.get("shardImbalance")
-    if isinstance(imbalance, (int, float)) and imbalance < 1.0:
-        yield "shardImbalance %r < 1 (it is max/mean)" % imbalance
-    for key in ("peakQueueDepth", "slabSlots", "windowStalls",
-                "crossShardEvents"):
+    for key in TELEMETRY_KEYS:
         value = telemetry.get(key)
         if isinstance(value, (int, float)) and value < 0:
             yield "telemetry key %r is negative" % key

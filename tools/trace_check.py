@@ -10,7 +10,7 @@ tooling produce:
                        stats::TraceRecorder
                        (header {"schema":"ecgrid-state","version":2,...})
   * ecgrid-telemetry — run-health samples from obs::RunTelemetry
-                       (header {"schema":"ecgrid-telemetry","version":1,
+                       (header {"schema":"ecgrid-telemetry","version":2,
                        ...}); checked for required keys, monotone wall_s
                        and sim_t, monotone event counts, and exactly one
                        final {"kind":"summary"} record after the samples.
@@ -65,9 +65,6 @@ TELEMETRY_REQUIRED = (
     "events_per_wall_s",
     "sim_per_wall",
 )
-
-TELEMETRY_SHARDED = ("shards", "shard_committed", "shard_imbalance",
-                     "window_stalls", "cross_shard")
 
 
 class Checker:
@@ -188,23 +185,6 @@ def check_telemetry(checker, records):
                     f"{key} went backwards ({value} < {last[key]})",
                 )
             last[key] = value
-        sharded = [k for k in TELEMETRY_SHARDED if k in record]
-        if sharded and len(sharded) != len(TELEMETRY_SHARDED):
-            absent = sorted(set(TELEMETRY_SHARDED) - set(sharded))
-            checker.error(
-                lineno, f"partial sharded fields (missing {absent})"
-            )
-        elif sharded:
-            committed = record["shard_committed"]
-            if (
-                not isinstance(committed, list)
-                or len(committed) != record["shards"]
-            ):
-                checker.error(
-                    lineno,
-                    "shard_committed length != shards "
-                    f"({committed!r} vs {record['shards']})",
-                )
         if kind == "sample":
             samples += 1
             if record.get("seq") != samples:
