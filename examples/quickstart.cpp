@@ -110,8 +110,10 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(result.macFramesSent),
               static_cast<unsigned long long>(result.macFramesDropped),
               static_cast<unsigned long long>(result.macRetransmissions),
-              static_cast<unsigned long long>(result.macAcksSent),
-              static_cast<unsigned long long>(result.macAcksSkipped));
+              static_cast<unsigned long long>(
+                  result.metrics.at("mac.acks_sent")),
+              static_cast<unsigned long long>(
+                  result.metrics.at("mac.acks_skipped")));
   std::printf(
       "  routing: originated=%llu forwarded=%llu delivered=%llu "
       "dropped=%llu rreq=%llu rrep=%llu rerr=%llu disc=%llu discFail=%llu\n",

@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <cstdio>
+#include <limits>
 
 #include "util/error.hpp"
 
@@ -17,17 +18,19 @@ double finiteNumber(const util::JsonValue& v, const std::string& key) {
   return n;
 }
 
+// Range-checked before the cast: out-of-range float-to-integer is UB.
 int intNumber(const util::JsonValue& v, const std::string& key) {
   const double n = finiteNumber(v, key);
-  ECGRID_REQUIRE(n == std::floor(n),
-                 "spec key '" + key + "' must be an integer");
+  ECGRID_REQUIRE(n == std::floor(n) && n >= std::numeric_limits<int>::min() &&
+                     n <= std::numeric_limits<int>::max(),
+                 "spec key '" + key + "' must be an integer in int range");
   return static_cast<int>(n);
 }
 
 std::uint64_t u64Number(const util::JsonValue& v, const std::string& key) {
   const double n = finiteNumber(v, key);
-  ECGRID_REQUIRE(n >= 0.0 && n == std::floor(n),
-                 "spec key '" + key + "' must be a non-negative integer");
+  ECGRID_REQUIRE(n >= 0.0 && n == std::floor(n) && n < 0x1p64,
+                 "spec key '" + key + "' must be an integer in [0, 2^64)");
   return static_cast<std::uint64_t>(n);
 }
 

@@ -12,6 +12,27 @@ using protocols::AcqHeader;
 using protocols::DataHeader;
 /// RAS paging latency headroom used for optimistic post-page forwarding.
 constexpr sim::Time kOptimisticWakeDelay = 2e-3;
+
+// Sleep, paging and retirement timing (ours, DESIGN.md §5).
+/// An active non-gateway host returns to sleep after this long without
+/// application traffic in either direction. Deliberately shorter than
+/// the paper's CBR packet interval: ECGRID sources/destinations sleep
+/// *between* packets, waking per packet via ACQ (source side, §3.3) and
+/// RAS paging (destination side) — that is the whole point of the RAS.
+constexpr sim::Time kIdleBeforeSleep = 0.35;
+/// How long a gateway waits for a paged host's HELLO before re-paging.
+constexpr sim::Time kPageResponseTimeout = 0.25;
+constexpr int kPageRetries = 3;
+/// Buffered frames per sleeping destination.
+constexpr std::size_t kWakeBufferLimit = 32;
+/// A sleeping source waits this long for the gateway's HELLO after its
+/// ACQ before declaring a no-gateway event.
+constexpr sim::Time kAcqResponseTimeout = 0.3;
+/// Retire (hand over gatewaying) when the battery ratio falls below
+/// this, so the RETIRE still gets out before the host dies.
+constexpr double kRetireBatteryRatio = 0.02;
+/// The paper's τ between the grid page and the RETIRE broadcast.
+constexpr sim::Time kRetireTau = 0.05;
 }  // namespace
 
 EcgridProtocol::EcgridProtocol(net::HostEnv& env, const EcgridConfig& config)
@@ -60,7 +81,7 @@ void EcgridProtocol::maybeSleep() {
   }
   sim::Time now = env_.simulator().now();
   sim::Time idleFor = now - lastAppActivity_;
-  if (idleFor < ecgridConfig_.idleBeforeSleep) {
+  if (idleFor < kIdleBeforeSleep) {
     scheduleSleepCheck();
     return;
   }
@@ -70,7 +91,7 @@ void EcgridProtocol::maybeSleep() {
 void EcgridProtocol::scheduleSleepCheck() {
   if (sleepTimer_.pending()) return;
   sim::Time now = env_.simulator().now();
-  sim::Time wait = ecgridConfig_.idleBeforeSleep - (now - lastAppActivity_);
+  sim::Time wait = kIdleBeforeSleep - (now - lastAppActivity_);
   if (wait < 0.01) wait = 0.01;
   sleepTimer_ = env_.simulator().schedule(wait, [this] { maybeSleep(); },
                                           "ecgrid/sleep_check");
@@ -160,7 +181,7 @@ void EcgridProtocol::sendAcq(net::NodeId destination) {
   broadcastFrameRaw(acq);
   acqTimer_.cancel();
   acqTimer_ = env_.simulator().schedule(
-      ecgridConfig_.acqResponseTimeout,
+      kAcqResponseTimeout,
       [this] {
         // Detector 2 (paper §3.2): a sleeping host woke to transmit but
         // the gateway never answered.
@@ -196,7 +217,7 @@ void EcgridProtocol::deliverToLocalHost(net::NodeId dst,
 
 void EcgridProtocol::pageAndBuffer(net::NodeId dst, const net::Packet& frame) {
   WakeState& state = wakeBuffer_[dst];
-  if (state.buffered.size() >= ecgridConfig_.wakeBufferLimit) {
+  if (state.buffered.size() >= kWakeBufferLimit) {
     return;  // buffer full: tail-drop
   }
   state.buffered.push_back(frame);
@@ -217,7 +238,7 @@ void EcgridProtocol::pageAndBuffer(net::NodeId dst, const net::Packet& frame) {
     }
     env_.pageHost(dst);
     state.retryTimer = env_.simulator().schedule(
-        ecgridConfig_.pageResponseTimeout,
+        kPageResponseTimeout,
         [this, dst] { onPageTimeout(dst); }, "ecgrid/page_timeout");
     env_.simulator().schedule(
         2.5 * kOptimisticWakeDelay, [this, dst] { flushWakeBuffer(dst); },
@@ -229,7 +250,7 @@ void EcgridProtocol::onPageTimeout(net::NodeId dst) {
   auto it = wakeBuffer_.find(dst);
   if (it == wakeBuffer_.end()) return;
   WakeState& state = it->second;
-  if (state.pagesSent >= ecgridConfig_.pageRetries) {
+  if (state.pagesSent >= kPageRetries) {
     // The sleeper is gone (moved away or died): purge it so routing stops
     // treating it as local.
     ECGRID_LOG_DEBUG(kTag, "node " << env_.id() << " gives up paging "
@@ -250,7 +271,7 @@ void EcgridProtocol::onPageTimeout(net::NodeId dst) {
   }
   env_.pageHost(dst);
   state.retryTimer = env_.simulator().schedule(
-      ecgridConfig_.pageResponseTimeout, [this, dst] { onPageTimeout(dst); },
+      kPageResponseTimeout, [this, dst] { onPageTimeout(dst); },
       "ecgrid/page_timeout");
 }
 
@@ -263,7 +284,7 @@ void EcgridProtocol::onSendFailed(const net::Packet& packet) {
     // (e.g. it was seeded as active). Do not purge it — mark it sleeping
     // and restart the delivery through the RAS pager.
     hostTable_.markSleeping(packet.macDst, env_.simulator().now());
-    if (packet.routeRetries < config_.routing.maxRouteRetries) {
+    if (packet.routeRetries < protocols::kMaxRouteRetries) {
       net::Packet retry = packet;
       retry.routeRetries = packet.routeRetries + 1;
       pageAndBuffer(packet.macDst, retry);
@@ -351,7 +372,7 @@ void EcgridProtocol::gatewayPeriodic() {
   energy::BatteryLevel nowLevel = env_.batteryLevel();
   double ratio = env_.batteryRatio();
 
-  if (!finalRetireIssued_ && ratio < ecgridConfig_.retireBatteryRatio) {
+  if (!finalRetireIssued_ && ratio < kRetireBatteryRatio) {
     // Paper §3.2: "the gateway will issue a broadcast sequence and a
     // RETIRE message before its battery runs out."
     finalRetireIssued_ = true;
@@ -393,7 +414,7 @@ void EcgridProtocol::beginRetire(const geo::GridCoord& forGrid) {
   auto records = engine_.routes().exportRecords(env_.simulator().now());
   geo::GridCoord grid = forGrid;
   env_.simulator().schedule(
-      config_.retireTau,
+      kRetireTau,
       [this, grid, records]() mutable {
         if (role() == Role::kDead) return;
         broadcastRetire(grid, std::move(records));

@@ -32,23 +32,6 @@ namespace ecgrid::core {
 struct EcgridConfig {
   protocols::GridProtocolConfig base;
 
-  /// An active non-gateway host returns to sleep after this long without
-  /// application traffic in either direction. Deliberately shorter than
-  /// the paper's CBR packet interval: ECGRID sources/destinations sleep
-  /// *between* packets, waking per packet via ACQ (source side, §3.3) and
-  /// RAS paging (destination side) — that is the whole point of the RAS.
-  sim::Time idleBeforeSleep = 0.35;
-  /// How long a gateway waits for a paged host's HELLO before re-paging.
-  sim::Time pageResponseTimeout = 0.25;
-  int pageRetries = 3;
-  /// Buffered frames per sleeping destination.
-  std::size_t wakeBufferLimit = 32;
-  /// A sleeping source waits this long for the gateway's HELLO after its
-  /// ACQ before declaring a no-gateway event.
-  sim::Time acqResponseTimeout = 0.3;
-  /// Retire (hand over gatewaying) when the battery ratio falls below
-  /// this, so the RETIRE still gets out before the host dies.
-  double retireBatteryRatio = 0.02;
   /// Master switch for transceiver sleeping — disabling it turns ECGRID
   /// into "GRID with battery-aware election" (used by the ablation bench).
   bool enableSleep = true;

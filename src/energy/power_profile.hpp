@@ -39,37 +39,33 @@ inline const char* toString(PowerState s) {
   return "?";
 }
 
-struct PowerProfile {
-  double txW = 1.400;
-  double rxW = 1.000;
-  double idleW = 0.830;
-  double sleepW = 0.130;
-  double gpsW = 0.033;
+// Paper §4 power table (watts).
+inline constexpr double kTxW = 1.400;
+inline constexpr double kRxW = 1.000;
+inline constexpr double kIdleW = 0.830;
+inline constexpr double kSleepW = 0.130;
+inline constexpr double kGpsW = 0.033;
 
-  /// Radio draw for a state, excluding GPS.
-  double radioPowerW(PowerState state) const {
-    switch (state) {
-      case PowerState::kTx:
-        return txW;
-      case PowerState::kRx:
-        return rxW;
-      case PowerState::kIdle:
-        return idleW;
-      case PowerState::kSleep:
-        return sleepW;
-      case PowerState::kOff:
-        return 0.0;
-    }
-    ECGRID_CHECK(false, "unreachable power state");
+/// Radio draw for a state, excluding GPS.
+inline double radioPowerW(PowerState state) {
+  switch (state) {
+    case PowerState::kTx:
+      return kTxW;
+    case PowerState::kRx:
+      return kRxW;
+    case PowerState::kIdle:
+      return kIdleW;
+    case PowerState::kSleep:
+      return kSleepW;
+    case PowerState::kOff:
+      return 0.0;
   }
+  ECGRID_CHECK(false, "unreachable power state");
+}
 
-  /// Total host draw: radio + GPS. A dead host draws nothing.
-  double totalPowerW(PowerState state) const {
-    return state == PowerState::kOff ? 0.0 : radioPowerW(state) + gpsW;
-  }
-
-  /// The exact numbers used throughout the paper's evaluation.
-  static PowerProfile paperDefaults() { return PowerProfile{}; }
-};
+/// Total host draw: radio + GPS. A dead host draws nothing.
+inline double totalPowerW(PowerState state) {
+  return state == PowerState::kOff ? 0.0 : radioPowerW(state) + kGpsW;
+}
 
 }  // namespace ecgrid::energy

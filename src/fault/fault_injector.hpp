@@ -2,9 +2,9 @@
 //
 // Construction wires every enabled fault into the simulation:
 //
-//   * channel errors  → an ErrorModel behind phy::Channel's deliveryFault
+//   * channel errors  → an ErrorModel in phy::Channel's delivery-fault
 //                       slot (frames corrupt instead of decode);
-//   * paging loss     → phy::PagingChannel's pageLoss slot;
+//   * paging loss     → phy::PagingChannel's page-loss slot;
 //   * host crashes    → scripted CrashEvents plus a per-host Poisson
 //                       failure process, via Node::crash()/restart();
 //   * GPS error       → per-host offset draw at t = 0 and a periodic

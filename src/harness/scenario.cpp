@@ -388,8 +388,6 @@ ScenarioResult runScenario(const ScenarioConfig& config) {
     result.macFramesSent += nodePtr->mac().framesSent();
     result.macFramesDropped += nodePtr->mac().framesDropped();
     result.macRetransmissions += nodePtr->mac().retransmissions();
-    result.macAcksSkipped += nodePtr->mac().acksSkipped();
-    result.macAcksSent += nodePtr->mac().acksSent();
     const protocols::RoutingStats* stats = nullptr;
     if (auto* base = protocols::GridProtocolBase::of(nodePtr->protocol())) {
       stats = &base->routingStats();

@@ -79,6 +79,9 @@ struct ScenarioConfig {
   // protocol knobs (benches override for ablations)
   core::EcgridConfig ecgrid;
   protocols::GridProtocolConfig grid;
+  // No bench sweeps GAF yet; gaf_protocol_test drives GafConfig's Ts/Ta
+  // caps through GafProtocol directly.
+  // ecgrid-lint: allow(idle-config-field)
   protocols::GafConfig gaf;
 
   /// Interference ring as a multiple of the decode range (1.0 = pure
@@ -229,8 +232,6 @@ struct ScenarioResult {
   std::uint64_t macFramesSent = 0;      ///< frames handed off successfully
   std::uint64_t macFramesDropped = 0;   ///< MAC-level drops (all causes)
   std::uint64_t macRetransmissions = 0; ///< ARQ retransmissions
-  std::uint64_t macAcksSent = 0;
-  std::uint64_t macAcksSkipped = 0;  ///< ACKs suppressed (radio busy)
 
   /// Every delivered packet's end-to-end latency, seconds (unordered).
   std::vector<double> latencies;

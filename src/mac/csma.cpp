@@ -24,11 +24,8 @@ CsmaMac::CsmaMac(sim::Simulator& sim, phy::Radio& radio, phy::Channel& channel,
       mAcksSent_(obs::counter(sim, "mac.acks_sent")),
       mAcksSkipped_(obs::counter(sim, "mac.acks_skipped")),
       mRetransmissions_(obs::counter(sim, "mac.retransmissions")) {
-  ECGRID_REQUIRE(config.contentionWindowMin >= 1, "contention window >= 1");
-  ECGRID_REQUIRE(config.maxAccessAttempts >= 1, "need at least one attempt");
-  ECGRID_REQUIRE(config.retryLimit >= 0, "retry limit cannot be negative");
   // Steady-depth floors; both rings grow geometrically toward their
-  // config bounds only under congestion, so an idle host stays small.
+  // bounds only under congestion, so an idle host stays small.
   queue_.reserve(16);
   seenOrder_.reserve(64);
   radio_.setTxCompleteCallback([this] { onTxComplete(); });
@@ -38,7 +35,7 @@ CsmaMac::CsmaMac(sim::Simulator& sim, phy::Radio& radio, phy::Channel& channel,
   // receiver's SIFS + ACK.
   net::Packet ackSize;
   ackSize.header = std::make_shared<AckHeader>(0);
-  radio_.setNavGuard(config_.sifsSeconds +
+  radio_.setNavGuard(kSifsSeconds +
                      channel_.frameAirtime(ackSize.bytes()) + 20e-6);
 }
 
@@ -70,10 +67,10 @@ ECGRID_HOT_PATH void CsmaMac::onRadioFrame(const net::Packet& frame) {
     // Unicast for us: acknowledge, and deliver only the first copy.
     sendAck(frame.macSrc, frame.macSeq);
     auto key = std::make_pair(frame.macSrc, frame.macSeq);
-    // Node churn bounded at dedupWindow entries; the ring evicts FIFO.
+    // Node churn bounded at kDedupWindow entries; the ring evicts FIFO.
     if (!seen_.insert(key).second) return;  // ARQ duplicate  // ecgrid-lint: allow(hot-path-container-growth)
     seenOrder_.push_back(key);
-    if (seenOrder_.size() > config_.dedupWindow) {
+    if (seenOrder_.size() > kDedupWindow) {
       seen_.erase(seenOrder_.front());
       seenOrder_.pop_front();
     }
@@ -89,7 +86,7 @@ ECGRID_HOT_PATH void CsmaMac::sendAck(net::NodeId to, std::uint64_t seq) {
   // acknowledged frame, shared by every copy the channel fans out.
   ack.header = std::make_shared<AckHeader>(seq);  // ecgrid-lint: allow(hot-path-allocation)
   sim_.schedule(
-      config_.sifsSeconds,
+      kSifsSeconds,
       [this, ack] {
         // The ACK pre-empts normal traffic (SIFS < DIFS) but cannot
         // interrupt a transmission already in progress — the data sender
@@ -143,7 +140,7 @@ ECGRID_HOT_PATH void CsmaMac::send(net::Packet packet) {
   }
   Pending pending;
   pending.packet = std::move(packet);
-  pending.cw = config_.contentionWindowMin;
+  pending.cw = kContentionWindowMin;
   queue_.push_back(std::move(pending));
   scheduleAccess();
 }
@@ -169,11 +166,10 @@ ECGRID_HOT_PATH void CsmaMac::scheduleAccess() {
   accessPending_ = true;
   Pending& front = queue_.front();
   double backoffSlots = static_cast<double>(rng_.uniformInt(0, front.cw - 1));
-  double delay = config_.difsSeconds + backoffSlots * config_.slotSeconds;
-  if (net::isBroadcast(front.packet.macDst) &&
-      config_.broadcastJitterSeconds > 0.0 && front.txAttempts == 0 &&
+  double delay = kDifsSeconds + backoffSlots * kSlotSeconds;
+  if (net::isBroadcast(front.packet.macDst) && front.txAttempts == 0 &&
       front.busyRetries == 0) {
-    delay += rng_.uniform(0.0, config_.broadcastJitterSeconds);
+    delay += rng_.uniform(0.0, kBroadcastJitterSeconds);
   }
   accessTimer_ =
       sim_.schedule(delay, [this] { tryTransmit(); }, "mac/access");
@@ -188,7 +184,7 @@ ECGRID_HOT_PATH void CsmaMac::tryTransmit() {
   }
   Pending& front = queue_.front();
   if (radio_.mediumBusy() || radio_.mediumIdleAt() > sim_.now()) {
-    if (++front.busyRetries >= config_.maxAccessAttempts) {
+    if (++front.busyRetries >= kMaxAccessAttempts) {
       ECGRID_LOG_DEBUG(kTag, "node " << radio_.id()
                                      << " exceeded access attempts, drop "
                                      << front.packet.header->name());
@@ -210,7 +206,7 @@ ECGRID_HOT_PATH void CsmaMac::tryTransmit() {
     double backoffSlots =
         static_cast<double>(rng_.uniformInt(0, front.cw - 1));
     accessTimer_ = sim_.schedule(
-        wait + config_.difsSeconds + backoffSlots * config_.slotSeconds,
+        wait + kDifsSeconds + backoffSlots * kSlotSeconds,
         [this] { tryTransmit(); }, "mac/access");
     return;
   }
@@ -247,9 +243,8 @@ ECGRID_HOT_PATH void CsmaMac::onTxComplete() {
     return;
   }
   awaitingAck_ = true;
-  ackTimer_ = sim_.schedule(
-      config_.ackTimeoutSeconds, [this] { onAckTimeout(); },
-      "mac/ack_timeout");
+  ackTimer_ = sim_.schedule(kAckTimeoutSeconds, [this] { onAckTimeout(); },
+                            "mac/ack_timeout");
 }
 
 ECGRID_HOT_PATH void CsmaMac::onAckTimeout() {
@@ -261,7 +256,7 @@ ECGRID_HOT_PATH void CsmaMac::onAckTimeout() {
                                  << front.packet.header->name() << " to "
                                  << front.packet.macDst << " attempt "
                                  << front.txAttempts);
-  if (front.txAttempts > config_.retryLimit) {
+  if (front.txAttempts > kRetryLimit) {
     ECGRID_LOG_DEBUG(kTag, "node " << radio_.id() << " retry limit, drop "
                                    << front.packet.header->name() << " to "
                                    << front.packet.macDst);
@@ -275,7 +270,7 @@ ECGRID_HOT_PATH void CsmaMac::onAckTimeout() {
     finishFront(/*delivered=*/false);
     return;
   }
-  front.cw = std::min(front.cw * 2, config_.contentionWindowMax);
+  front.cw = std::min(front.cw * 2, kContentionWindowMax);
   scheduleAccess();
 }
 

@@ -7,7 +7,7 @@
 //
 // Unicast frames are acknowledged: the receiver returns a MAC-level ACK
 // after SIFS, and the sender retransmits (fresh backoff, doubled
-// contention window) up to `retryLimit` times before dropping — the same
+// contention window) up to `kRetryLimit` times before dropping — the same
 // stop-and-wait ARQ the paper's ns-2 802.11 MAC provides, which is what
 // pushes per-hop reliability high enough for the >99 % end-to-end
 // delivery the paper reports. Receivers suppress duplicate deliveries of
@@ -47,18 +47,25 @@ class AckHeader final : public net::Header {
   std::uint64_t ackedSeq_;
 };
 
+// DCF timing: the 802.11 DSSS interframe spaces and slot (paper §4 runs
+// 802.11 DSSS at 2 Mbps).
+inline constexpr double kDifsSeconds = 50e-6;
+inline constexpr double kSifsSeconds = 10e-6;
+inline constexpr double kSlotSeconds = 20e-6;
+// Backoff, ARQ and duplicate-suppression limits (ours, DESIGN.md §5).
+inline constexpr int kContentionWindowMin = 16;  ///< backoff: [0, cw-1] slots
+inline constexpr int kContentionWindowMax = 256;  ///< cw doubles up to this
+inline constexpr int kMaxAccessAttempts = 12;  ///< busy re-draws, then drop
+inline constexpr int kRetryLimit = 6;  ///< unicast retransmissions, then drop
+inline constexpr double kAckTimeoutSeconds = 1.2e-3;  ///< from end of data tx
+inline constexpr double kBroadcastJitterSeconds = 25e-3;
+inline constexpr std::size_t kDedupWindow = 512;  ///< remembered (src, seq)
+static_assert(kContentionWindowMin >= 1, "contention window >= 1");
+static_assert(kMaxAccessAttempts >= 1, "need at least one attempt");
+static_assert(kRetryLimit >= 0, "retry limit cannot be negative");
+
 struct CsmaConfig {
-  double difsSeconds = 50e-6;
-  double sifsSeconds = 10e-6;
-  double slotSeconds = 20e-6;
-  int contentionWindowMin = 16;   ///< backoff drawn from [0, cw-1] slots
-  int contentionWindowMax = 256;  ///< cw doubles per retry up to this
-  int maxAccessAttempts = 12;     ///< medium-busy re-draws before dropping
-  int retryLimit = 6;             ///< unicast retransmissions before dropping
-  double ackTimeoutSeconds = 1.2e-3;  ///< from end of data tx
-  double broadcastJitterSeconds = 25e-3;
   std::size_t queueLimit = 128;   ///< tail-drop beyond this
-  std::size_t dedupWindow = 512;  ///< remembered (src, seq) pairs
 };
 
 class ECGRID_DOMAIN_PER_HOST CsmaMac final : public net::LinkLayer {
@@ -123,7 +130,7 @@ class ECGRID_DOMAIN_PER_HOST CsmaMac final : public net::LinkLayer {
 
   // Duplicate suppression for retransmitted unicasts. The set carries a
   // lint allow where it grows: node-based churn, but bounded at
-  // dedupWindow entries and evicted in FIFO order by the ring below.
+  // kDedupWindow entries and evicted in FIFO order by the ring below.
   std::set<std::pair<net::NodeId, std::uint64_t>> seen_;
   util::BoundedRing<std::pair<net::NodeId, std::uint64_t>> seenOrder_;
 

@@ -32,13 +32,12 @@ Node::Node(sim::Simulator& sim, const geo::GridMap& grid,
   ECGRID_REQUIRE(mobility_ != nullptr, "node needs a mobility model");
   ECGRID_REQUIRE(config.id >= 0, "node ids must be non-negative");
 
-  radio_ = std::make_unique<phy::Radio>(sim_, battery_, config_.powerProfile,
-                                        config_.id);
+  radio_ = std::make_unique<phy::Radio>(sim_, battery_, config_.id);
   radio_->attachChannel(&channel_);
   radio_->setDeathCallback([this] { onDeath(); });
 
   mac_ = std::make_unique<mac::CsmaMac>(
-      sim_, *radio_, channel_, config_.macConfig,
+      sim_, *radio_, channel_, mac::CsmaConfig{},
       sim_.rng().stream("mac", config_.id));
 
   attachToMedia();

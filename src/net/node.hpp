@@ -13,7 +13,6 @@
 #include <memory>
 
 #include "energy/battery.hpp"
-#include "energy/power_profile.hpp"
 #include "geo/grid.hpp"
 #include "mac/csma.hpp"
 #include "mobility/grid_tracker.hpp"
@@ -32,8 +31,6 @@ struct NodeConfig {
   NodeId id = 0;
   double batteryCapacityJ = 500.0;  ///< paper §4 initial energy
   bool infiniteBattery = false;     ///< GAF "Model 1" endpoints
-  energy::PowerProfile powerProfile = energy::PowerProfile::paperDefaults();
-  mac::CsmaConfig macConfig;
 };
 
 class ECGRID_DOMAIN_PER_HOST Node final : public HostEnv {

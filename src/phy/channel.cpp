@@ -51,7 +51,7 @@ Channel::Channel(sim::Simulator& sim, const ChannelConfig& config)
 
 sim::Time Channel::frameAirtime(int bytes) const {
   ECGRID_REQUIRE(bytes > 0, "frame must have positive size");
-  return config_.preambleSeconds + bytes * 8.0 / config_.bitrateBps;
+  return kPreambleSeconds + bytes * 8.0 / config_.bitrateBps;
 }
 
 std::size_t Channel::attach(Radio* radio, std::function<geo::Vec2()> position) {
@@ -134,7 +134,7 @@ ECGRID_HOT_PATH void Channel::deliverTo(const Attachment& attachment,
   geo::Vec2 rxPos = attachment.position();
   double distSq = senderPos.distanceSquaredTo(rxPos);
   if (distSq > rangeSq && distSq > interfSq) return;
-  double delay = std::sqrt(distSq) / config_.propagationSpeed;
+  double delay = std::sqrt(distSq) / kPropagationSpeed;
   Radio* receiver = attachment.radio;
   // Inside the interference ring, or corrupted by the fault slot, only
   // energy arrives: it cannot decode.
@@ -142,8 +142,7 @@ ECGRID_HOT_PATH void Channel::deliverTo(const Attachment& attachment,
   if (decodable) {
     ++deliveriesScheduled_;
     mDeliveriesScheduled_.add();
-    if (config_.deliveryFault &&
-        config_.deliveryFault(senderId, receiver->id())) {
+    if (deliveryFault_ && deliveryFault_(senderId, receiver->id())) {
       // Channel error: the frame arrives as undecodable energy — carrier
       // sense stays busy and concurrent receptions are ruined, but the
       // frame itself is lost (the MAC's ARQ sees a missing ACK).

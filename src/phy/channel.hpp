@@ -39,11 +39,15 @@ namespace ecgrid::phy {
 
 class Radio;
 
+/// 802.11 DSSS long PLCP preamble, sent before every frame (paper §4
+/// runs 802.11 DSSS at 2 Mbps).
+inline constexpr double kPreambleSeconds = 192e-6;
+/// Free-space propagation speed, m/s (ours, DESIGN.md §5).
+inline constexpr double kPropagationSpeed = 3e8;
+
 struct ChannelConfig {
   double rangeMeters = 250.0;     ///< paper §4 transmission range
   double bitrateBps = 2e6;        ///< paper §4 bandwidth
-  double preambleSeconds = 192e-6;  ///< 802.11 DSSS long PLCP preamble
-  double propagationSpeed = 3e8;  ///< m/s
   /// Interference radius: transmissions reach radios out to this distance
   /// as *undecodable energy* that corrupts concurrent receptions and
   /// holds carrier sense busy. Values <= rangeMeters (the default 0)
@@ -55,21 +59,11 @@ struct ChannelConfig {
   /// instead of all N. Off = the brute-force full scan (identical event
   /// schedule; kept for differential tests and as a paranoia escape hatch).
   bool useSpatialIndex = true;
-  /// Fault-injection slot (src/fault): when set, consulted once per
-  /// (transmission, in-range receiver) pair, in ascending attachment order
-  /// — identical in both fan-out modes, so the spatial-index fast path is
-  /// unaffected. Returning true corrupts that delivery: the energy still
-  /// arrives (carrier sense, collisions) but the frame cannot decode.
-  /// Null (the default) costs nothing. Also armable post-construction via
-  /// Channel::setDeliveryFault.
-  std::function<bool(net::NodeId sender, net::NodeId receiver)> deliveryFault;
 };
 
 class ECGRID_DOMAIN_PER_SCENARIO Channel {
  public:
   Channel(sim::Simulator& sim, const ChannelConfig& config);
-
-  const ChannelConfig& config() const { return config_; }
 
   /// Airtime of a frame of `bytes` (MAC framing already included by
   /// Packet::bytes()).
@@ -101,11 +95,13 @@ class ECGRID_DOMAIN_PER_SCENARIO Channel {
   void transmitFrom(Radio& sender, const net::Packet& packet,
                     sim::Time duration);
 
-  /// Arm (or, with nullptr, disarm) the fault-injection slot after
-  /// construction — the FaultInjector's hook point.
+  /// Arm (or, with nullptr, disarm) the FaultInjector's slot: consulted
+  /// once per (transmission, in-range receiver) pair in attachment order,
+  /// identically in both fan-out modes; true corrupts that delivery (its
+  /// energy still arrives, the frame cannot decode). Null costs nothing.
   void setDeliveryFault(
       std::function<bool(net::NodeId sender, net::NodeId receiver)> fault) {
-    config_.deliveryFault = std::move(fault);
+    deliveryFault_ = std::move(fault);
   }
 
   /// Frames ever transmitted (for stats / broadcast-storm accounting).
@@ -160,6 +156,7 @@ class ECGRID_DOMAIN_PER_SCENARIO Channel {
 
   sim::Simulator& sim_;
   ChannelConfig config_;
+  std::function<bool(net::NodeId sender, net::NodeId receiver)> deliveryFault_;
   std::vector<Attachment> attachments_;
   std::vector<std::size_t> freeSlots_;
   std::optional<SpatialIndex> index_;

@@ -12,7 +12,6 @@ PagingChannel::PagingChannel(sim::Simulator& sim, const PagingConfig& config)
       mPagesDelivered_(obs::counter(sim, "paging.pages_delivered")),
       mPagesLost_(obs::counter(sim, "paging.pages_lost")) {
   ECGRID_REQUIRE(config.rangeMeters > 0.0, "paging range must be positive");
-  ECGRID_REQUIRE(config.latencySeconds >= 0.0, "latency cannot be negative");
 }
 
 std::size_t PagingChannel::attach(
@@ -42,7 +41,7 @@ bool PagingChannel::inRange(const geo::Vec2& from, const Attachment& a) const {
 
 void PagingChannel::deliver(const Attachment& a,
                             const net::PageSignal& signal) {
-  if (config_.pageLoss && config_.pageLoss(a.id)) {
+  if (pageLoss_ && pageLoss_(a.id)) {
     ++pagesLost_;
     mPagesLost_.add();
     return;
@@ -52,7 +51,7 @@ void PagingChannel::deliver(const Attachment& a,
   // Copy the hook: the attachment vector may grow before the event fires.
   auto hook = a.onPaged;
   sim_.schedule(
-      config_.latencySeconds, [hook, signal] { hook(signal); },
+      kPageLatencySeconds, [hook, signal] { hook(signal); },
       "paging/deliver");
 }
 

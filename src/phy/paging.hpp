@@ -26,21 +26,18 @@
 
 namespace ecgrid::phy {
 
+/// Paging signal plus transceiver power-up, from page to the paged host's
+/// wake-up (ours, DESIGN.md §5; paper §2 leaves the RAS cost out).
+inline constexpr double kPageLatencySeconds = 2e-3;
+static_assert(kPageLatencySeconds >= 0.0, "latency cannot be negative");
+
 struct PagingConfig {
   double rangeMeters = 250.0;
-  double latencySeconds = 2e-3;  ///< paging signal + transceiver power-up
-  /// Fault-injection slot (src/fault): when set, consulted once per
-  /// in-range pager about to receive a page; returning true means that
-  /// pager misses the page. Null (the default) costs nothing. Also
-  /// armable post-construction via setPageLoss.
-  std::function<bool(net::NodeId target)> pageLoss;
 };
 
 class ECGRID_DOMAIN_PER_SCENARIO PagingChannel {
  public:
   PagingChannel(sim::Simulator& sim, const PagingConfig& config);
-
-  const PagingConfig& config() const { return config_; }
 
   /// Register host `id`'s pager. `position` is read lazily; `cell` must
   /// return the host's current grid (for broadcast-sequence matching);
@@ -61,9 +58,11 @@ class ECGRID_DOMAIN_PER_SCENARIO PagingChannel {
   void pageGrid(net::NodeId pagedBy, const geo::Vec2& from,
                 const geo::GridCoord& grid);
 
-  /// Arm (or, with nullptr, disarm) the page-loss fault slot.
+  /// Arm (or, with nullptr, disarm) the FaultInjector's page-loss slot:
+  /// consulted once per in-range pager about to receive a page; true
+  /// means that pager misses it. Null costs nothing.
   void setPageLoss(std::function<bool(net::NodeId target)> loss) {
-    config_.pageLoss = std::move(loss);
+    pageLoss_ = std::move(loss);
   }
 
   std::uint64_t pagesSent() const { return pagesSent_; }
@@ -85,6 +84,7 @@ class ECGRID_DOMAIN_PER_SCENARIO PagingChannel {
 
   sim::Simulator& sim_;
   PagingConfig config_;
+  std::function<bool(net::NodeId target)> pageLoss_;
   std::vector<Attachment> attachments_;
   std::uint64_t pagesSent_ = 0;
   std::uint64_t pagesDelivered_ = 0;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <limits>
 
+#include "energy/power_profile.hpp"
 #include "phy/channel.hpp"
 #include "util/error.hpp"
 #include "util/hot_path.hpp"
@@ -55,11 +56,10 @@ energy::PowerState toPowerState(RadioState s) {
 
 }  // namespace
 
-Radio::Radio(sim::Simulator& sim, energy::Battery& battery,
-             const energy::PowerProfile& profile, net::NodeId id)
-    : sim_(sim), battery_(battery), profile_(profile), id_(id) {
+Radio::Radio(sim::Simulator& sim, energy::Battery& battery, net::NodeId id)
+    : sim_(sim), battery_(battery), id_(id) {
   receptions_.reserve(kInitialReceptions);
-  battery_.setPowerW(profile_.totalPowerW(energy::PowerState::kIdle),
+  battery_.setPowerW(energy::totalPowerW(energy::PowerState::kIdle),
                      sim_.now());
   rearmDepletion();
 }
@@ -85,7 +85,7 @@ void Radio::setDeathCallback(std::function<void()> cb) {
 void Radio::setState(RadioState next) {
   if (state_ == next) return;
   state_ = next;
-  battery_.setPowerW(profile_.totalPowerW(toPowerState(next)), sim_.now());
+  battery_.setPowerW(energy::totalPowerW(toPowerState(next)), sim_.now());
   rearmDepletion();
 }
 

@@ -17,7 +17,6 @@
 #include <vector>
 
 #include "energy/battery.hpp"
-#include "energy/power_profile.hpp"
 #include "net/packet.hpp"
 #include "sim/simulator.hpp"
 #include "util/hot_path.hpp"
@@ -40,8 +39,7 @@ const char* toString(RadioState s);
 class ECGRID_DOMAIN_PER_HOST Radio {
  public:
   /// `battery` and `sim` must outlive the radio. The radio starts Idle.
-  Radio(sim::Simulator& sim, energy::Battery& battery,
-        const energy::PowerProfile& profile, net::NodeId id);
+  Radio(sim::Simulator& sim, energy::Battery& battery, net::NodeId id);
 
   ~Radio();
   Radio(const Radio&) = delete;
@@ -148,7 +146,6 @@ class ECGRID_DOMAIN_PER_HOST Radio {
 
   sim::Simulator& sim_;
   energy::Battery& battery_;
-  energy::PowerProfile profile_;
   net::NodeId id_;
   Channel* channel_ = nullptr;
   std::size_t channelAttachmentId_ = kNoAttachment;
@@ -172,8 +169,7 @@ class ECGRID_DOMAIN_PER_HOST Radio {
 };
 
 /// One Radio per host at city scale: three std::function callbacks
-/// (96 B) plus the power profile dominate; the budget keeps incidental
-/// state from creeping in.
-ECGRID_LAYOUT_BUDGET(Radio, 280);
+/// (96 B) dominate; the budget keeps incidental state from creeping in.
+ECGRID_LAYOUT_BUDGET(Radio, 240);
 
 }  // namespace ecgrid::phy

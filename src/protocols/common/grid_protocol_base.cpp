@@ -9,7 +9,14 @@ namespace ecgrid::protocols {
 
 namespace {
 constexpr const char* kTag = "gridproto";
-}
+
+// Election and beacon timing (ours, DESIGN.md §5).
+constexpr double kHelloJitterFrac = 0.1;  ///< de-synchronise beacons
+constexpr double kGatewayStaleFactor = 2.5;  ///< no-gateway timeout in HELLOs
+constexpr sim::Time kElectionWindow = 0.5;  ///< HELLO collection after RETIRE
+constexpr sim::Time kNewcomerWait = 2.0;  ///< silence ⇒ empty grid ⇒ self-elect
+constexpr std::size_t kAppPendingLimit = 32;  ///< app data while no gateway
+}  // namespace
 
 GridProtocolBase::GridProtocolBase(net::HostEnv& env,
                                    const GridProtocolConfig& config)
@@ -17,8 +24,8 @@ GridProtocolBase::GridProtocolBase(net::HostEnv& env,
       env_(env),
       config_(config),
       engine_(env, makeHooks(), config.routing),
-      hostTable_(config.helloPeriod * config.gatewayStaleFactor),
-      neighbours_(config.helloPeriod * config.gatewayStaleFactor),
+      hostTable_(config.helloPeriod * kGatewayStaleFactor),
+      neighbours_(config.helloPeriod * kGatewayStaleFactor),
       rng_(env.simulator().rng().stream("gridproto", env.id())),
       mElectionsStarted_(
           obs::counter(env.simulator(), "grid.elections.started")),
@@ -61,7 +68,7 @@ RoutingEngine::Hooks GridProtocolBase::makeHooks() {
     if (role_ == Role::kGateway && grid == env_.cell()) return env_.id();
     return neighbours_.gatewayOf(grid, env_.simulator().now(),
                                  env_.position(),
-                                 config_.routing.maxForwardDistance);
+                                 kMaxForwardDistance);
   };
   hooks.hostIsLocal = [this](net::NodeId host) {
     return (role_ == Role::kGateway || graceRouting_) &&
@@ -96,12 +103,12 @@ void GridProtocolBase::start() {
   setRole(Role::kUndecided);
   sendHello();
   beginElectionRound();
-  double jitter = rng_.uniform(0.0, config_.helloJitterFrac);
+  double jitter = rng_.uniform(0.0, kHelloJitterFrac);
   electionTimer_ = env_.simulator().schedule(
       config_.helloPeriod * (1.0 + jitter), [this] { decideElection(); },
       "proto/election");
   helloTimer_ = env_.simulator().schedule(
-      config_.helloPeriod * (1.0 + rng_.uniform(0.0, config_.helloJitterFrac)),
+      config_.helloPeriod * (1.0 + rng_.uniform(0.0, kHelloJitterFrac)),
       [this] { helloTick(); }, "proto/hello");
 }
 
@@ -175,13 +182,13 @@ ECGRID_HOT_PATH void GridProtocolBase::helloTick() {
     }
   }
   helloTimer_ = env_.simulator().schedule(
-      config_.helloPeriod * (1.0 + rng_.uniform(0.0, config_.helloJitterFrac)),
+      config_.helloPeriod * (1.0 + rng_.uniform(0.0, kHelloJitterFrac)),
       [this] { helloTick(); }, "proto/hello");
 }
 
 bool GridProtocolBase::gatewayIsStale() const {
   return env_.simulator().now() - lastGatewayHello_ >
-         config_.helloPeriod * config_.gatewayStaleFactor;
+         config_.helloPeriod * kGatewayStaleFactor;
 }
 
 void GridProtocolBase::noteGatewaySeen(net::NodeId gateway) {
@@ -215,7 +222,7 @@ void GridProtocolBase::decideElection() {
     return;
   }
   std::vector<Candidate> field =
-      freshCandidates(config_.helloPeriod * config_.gatewayStaleFactor);
+      freshCandidates(config_.helloPeriod * kGatewayStaleFactor);
   field.push_back(selfCandidate());
   std::optional<Candidate> winner = electGateway(field, config_.election);
   ECGRID_CHECK(winner.has_value(), "election field contained self");
@@ -233,8 +240,7 @@ void GridProtocolBase::startElection() {
   beginElectionRound();
   sendHello();
   electionTimer_ = env_.simulator().schedule(
-      config_.electionWindow *
-          (1.0 + rng_.uniform(0.0, config_.helloJitterFrac)),
+      kElectionWindow * (1.0 + rng_.uniform(0.0, kHelloJitterFrac)),
       [this] { decideElection(); }, "proto/election");
 }
 
@@ -242,7 +248,7 @@ void GridProtocolBase::enterGraceRouting() {
   graceRouting_ = true;
   graceTimer_.cancel();
   graceTimer_ = env_.simulator().schedule(
-      config_.electionWindow * 3.0, [this] { endGraceRouting(); },
+      kElectionWindow * 3.0, [this] { endGraceRouting(); },
       "proto/grace");
 }
 
@@ -279,7 +285,7 @@ void GridProtocolBase::becomeGateway() {
   // of the HELLO messages").
   {
     sim::Time now = env_.simulator().now();
-    sim::Time window = config_.helloPeriod * config_.gatewayStaleFactor;
+    sim::Time window = config_.helloPeriod * kGatewayStaleFactor;
     for (const auto& [id, sighting] : candidates_) {
       if (id == env_.id()) continue;
       if (now - sighting.lastHeard > window) continue;
@@ -556,7 +562,7 @@ void GridProtocolBase::sendData(net::NodeId destination, int payloadBytes,
 }
 
 void GridProtocolBase::queueAppData(std::shared_ptr<const net::Header> header) {
-  if (appPending_.size() >= config_.appPendingLimit) {
+  if (appPending_.size() >= kAppPendingLimit) {
     appPending_.pop_front();  // drop-oldest
   }
   appPending_.push_back(std::move(header));
@@ -620,8 +626,7 @@ void GridProtocolBase::onCellChanged(const geo::GridCoord& from,
   sendHello();
   newcomerTimer_.cancel();
   newcomerTimer_ = env_.simulator().schedule(
-      config_.newcomerWait *
-          (1.0 + rng_.uniform(0.0, config_.helloJitterFrac)),
+      kNewcomerWait * (1.0 + rng_.uniform(0.0, kHelloJitterFrac)),
       [this] {
         if (role_ == Role::kDead || role_ == Role::kGateway) return;
         if (currentGateway_.has_value() && !gatewayIsStale()) return;
@@ -650,7 +655,7 @@ void GridProtocolBase::onSendFailed(const net::Packet& packet) {
   }
   // The believed gateway did not acknowledge: stop offering it as a hop.
   neighbours_.forgetById(packet.macDst);
-  if (packet.routeRetries >= config_.routing.maxRouteRetries) return;
+  if (packet.routeRetries >= kMaxRouteRetries) return;
 
   net::Packet retry = packet;
   retry.routeRetries = packet.routeRetries + 1;

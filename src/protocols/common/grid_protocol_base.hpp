@@ -39,12 +39,6 @@ namespace ecgrid::protocols {
 
 struct GridProtocolConfig {
   sim::Time helloPeriod = 1.0;          ///< paper's "HELLO period"
-  double helloJitterFrac = 0.1;         ///< de-synchronise beacons
-  double gatewayStaleFactor = 2.5;      ///< ×helloPeriod: no-gateway timeout
-  sim::Time electionWindow = 0.5;       ///< HELLO collection after RETIRE
-  sim::Time newcomerWait = 2.0;         ///< silence ⇒ empty grid ⇒ self-elect
-  sim::Time retireTau = 0.05;           ///< paper's τ between wakeup and RETIRE
-  std::size_t appPendingLimit = 32;     ///< app data queued while gateway unknown
   RoutingConfig routing;
   ElectionPolicy election;
   /// Location service used to confine RREQ search areas. The harness

@@ -23,9 +23,9 @@ RoutingEngine::RoutingEngine(net::HostEnv& env, Hooks hooks,
     : env_(env),
       hooks_(std::move(hooks)),
       config_(config),
-      routes_(config.routeLifetime),
-      reverse_(config.routeLifetime),
-      rreqCache_(config.rreqCacheHorizon),
+      routes_(kRouteLifetime),
+      reverse_(kRouteLifetime),
+      rreqCache_(kRreqCacheHorizon),
       rng_(env.simulator().rng().stream("routing", env.id())),
       mDataForwarded_(obs::counter(env.simulator(), "routing.data_forwarded")),
       mDataDeliveredLocal_(
@@ -141,8 +141,8 @@ ECGRID_HOT_PATH void RoutingEngine::routeData(const net::Packet& frame,
   // Local repair: buffer the packet and (re)start discovery.
   auto it = discoveries_.find(dst);
   if (it != discoveries_.end()) {
-    if (it->second.pendingData.size() < config_.pendingLimit) {
-      // Route-repair buffer, bounded at pendingLimit packets and only
+    if (it->second.pendingData.size() < kPendingLimit) {
+      // Route-repair buffer, bounded at kPendingLimit packets and only
       // populated while a discovery is outstanding — not steady state.
       it->second.pendingData.push_back(frame);  // ecgrid-lint: allow(hot-path-container-growth)
     } else {
@@ -263,7 +263,7 @@ void RoutingEngine::onRreq(const net::Packet& frame, const RreqHeader& rreq) {
   if (!rreq.range().contains(myGrid)) return;  // outside the search area
   if (rreq.source() == env_.id()) return;      // our own flood came back
   if (env_.position().distanceTo(rreq.senderPos()) >
-      config_.maxForwardDistance) {
+      kMaxForwardDistance) {
     // We heard this copy only because we are at the very edge of the
     // sender's radio disk; a route built on such a hop would be dead on
     // arrival, so pretend we did not hear it.
@@ -298,7 +298,7 @@ void RoutingEngine::onRreq(const net::Packet& frame, const RreqHeader& rreq) {
                               << env_.cell() << " relay RREQ S="
                               << rreq.source() << " D=" << rreq.destination()
                               << " hop" << rreq.hopCount());
-  if (rreq.hopCount() + 1 >= config_.maxHops) return;
+  if (rreq.hopCount() + 1 >= kMaxHops) return;
   if (hooks_.mayRelayRreq && !hooks_.mayRelayRreq()) return;
   auto relay = std::make_shared<RreqHeader>(
       rreq.source(), rreq.sourceSeq(), rreq.destination(), rreq.destSeqKnown(),

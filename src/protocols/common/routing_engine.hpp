@@ -36,21 +36,24 @@
 
 namespace ecgrid::protocols {
 
+// Route-table and discovery limits (ours, DESIGN.md §5).
+inline constexpr sim::Time kRouteLifetime = 10.0;
+inline constexpr sim::Time kRreqCacheHorizon = 5.0;
+/// Hops are only formed/used between routers whose last-known positions
+/// are within this distance — slightly inside the paper's 250 m radio
+/// range so mobility between beacon and use does not carry the pair out
+/// of reach (DESIGN.md §5 item 3).
+inline constexpr double kMaxForwardDistance = 230.0;
+/// Re-route attempts per data frame after link-layer failures.
+inline constexpr int kMaxRouteRetries = 2;
+inline constexpr int kMaxHops = 64;
+inline constexpr std::size_t kPendingLimit = 64;  ///< buffered data per dest
+
 struct RoutingConfig {
-  sim::Time routeLifetime = 10.0;
-  sim::Time rreqCacheHorizon = 5.0;
-  /// Hops are only formed/used between routers whose last-known positions
-  /// are within this distance — slightly inside radio range so mobility
-  /// between beacon and use does not carry the pair out of reach.
-  double maxForwardDistance = 230.0;
-  /// Re-route attempts per data frame after link-layer failures.
-  int maxRouteRetries = 2;
   sim::Time rrepTimeout = 0.3;      ///< per discovery attempt
   int maxDiscoveryAttempts = 3;     ///< first confined, rest global
   int rangeMargin = 1;              ///< cells added around the S–D rectangle
   bool confinedSearch = true;       ///< false = always flood globally
-  int maxHops = 64;
-  std::size_t pendingLimit = 64;    ///< buffered data per destination
 };
 
 struct RoutingStats {

@@ -11,6 +11,13 @@ namespace ecgrid::protocols {
 namespace {
 constexpr const char* kTag = "gaf";
 using NodeState = GafDiscoveryHeader::NodeState;
+
+// GAF state-machine timing (ours, DESIGN.md §5).
+constexpr sim::Time kBeaconInterval = 2.0;  ///< beacon period while awake
+constexpr double kBeaconJitterFrac = 0.1;
+constexpr sim::Time kDiscoveryWindow = 0.6;  ///< Td
+constexpr sim::Time kSightingStale = 5.0;  ///< sighting-table freshness
+constexpr std::size_t kAppPendingLimit = 32;
 }  // namespace
 
 GafProtocol::GafProtocol(net::HostEnv& env, const GafConfig& config)
@@ -40,8 +47,8 @@ RoutingEngine::Hooks GafProtocol::makeHooks() {
     sim::Time bestHeard = sim::kTimeZero;
     for (const auto& [id, s] : sightings_) {
       if (s.grid != grid || s.state != NodeState::kActive) continue;
-      if (now - s.lastHeard > config_.sightingStale) continue;
-      if (here.distanceTo(s.position) > config_.routing.maxForwardDistance) {
+      if (now - s.lastHeard > kSightingStale) continue;
+      if (here.distanceTo(s.position) > kMaxForwardDistance) {
         continue;
       }
       if (!best.has_value() || s.lastHeard > bestHeard) {
@@ -59,7 +66,7 @@ RoutingEngine::Hooks GafProtocol::makeHooks() {
     auto it = sightings_.find(host);
     if (it == sightings_.end()) return false;
     return it->second.grid == env_.cell() &&
-           now - it->second.lastHeard <= config_.sightingStale;
+           now - it->second.lastHeard <= kSightingStale;
   };
   hooks.deliverLocal = [this](net::NodeId dst, const net::Packet& frame) {
     if (dst == env_.id()) {
@@ -123,7 +130,7 @@ void GafProtocol::enterDiscovery() {
   beacon();
   stateTimer_.cancel();
   stateTimer_ = env_.simulator().schedule(
-      config_.discoveryWindow * (1.0 + rng_.uniform(0.0, 0.5)),
+      kDiscoveryWindow * (1.0 + rng_.uniform(0.0, 0.5)),
       [this] { endDiscovery(); }, "gaf/discovery_end");
 }
 
@@ -135,7 +142,7 @@ void GafProtocol::endDiscovery() {
   // An existing leader in this grid sends us to sleep for its remaining
   // active time.
   for (const auto& [id, s] : sightings_) {
-    if (s.grid != myGrid || now - s.lastHeard > config_.sightingStale) continue;
+    if (s.grid != myGrid || now - s.lastHeard > kSightingStale) continue;
     if (s.state == NodeState::kActive) {
       sleepFor(std::clamp(s.enatRemaining, config_.minSleepTime,
                           config_.maxSleepTime));
@@ -145,12 +152,12 @@ void GafProtocol::endDiscovery() {
   // A higher-ranked fellow discoverer wins; back off briefly and re-check.
   double rank = myRank();
   for (const auto& [id, s] : sightings_) {
-    if (s.grid != myGrid || now - s.lastHeard > config_.discoveryWindow * 2) {
+    if (s.grid != myGrid || now - s.lastHeard > kDiscoveryWindow * 2) {
       continue;
     }
     if (s.state != NodeState::kDiscovery) continue;
     if (s.rank > rank || (s.rank == rank && id < env_.id())) {
-      sleepFor(std::clamp(config_.discoveryWindow * 4.0,
+      sleepFor(std::clamp(kDiscoveryWindow * 4.0,
                           config_.minSleepTime, config_.maxSleepTime));
       return;
     }
@@ -226,8 +233,7 @@ ECGRID_HOT_PATH void GafProtocol::beaconTick() {
   if (state_ == State::kDead) return;
   if (state_ != State::kSleep) beacon();
   beaconTimer_ = env_.simulator().schedule(
-      config_.beaconInterval *
-          (1.0 + rng_.uniform(0.0, config_.beaconJitterFrac)),
+      kBeaconInterval * (1.0 + rng_.uniform(0.0, kBeaconJitterFrac)),
       [this] { beaconTick(); }, "gaf/beacon");
 }
 
@@ -301,7 +307,7 @@ std::optional<net::NodeId> GafProtocol::localLeader() {
   sim::Time bestHeard = sim::kTimeZero;
   for (const auto& [id, s] : sightings_) {
     if (s.grid != myGrid || s.state != NodeState::kActive) continue;
-    if (now - s.lastHeard > config_.sightingStale) continue;
+    if (now - s.lastHeard > kSightingStale) continue;
     if (!best.has_value() || s.lastHeard > bestHeard) {
       best = id;
       bestHeard = s.lastHeard;
@@ -338,7 +344,7 @@ void GafProtocol::sendData(net::NodeId destination, int payloadBytes,
     unicastFrame(*leader, header);
     return;
   }
-  if (appPending_.size() >= config_.appPendingLimit) appPending_.pop_front();
+  if (appPending_.size() >= kAppPendingLimit) appPending_.pop_front();
   appPending_.push_back(std::move(header));
 }
 
@@ -377,7 +383,7 @@ void GafProtocol::onSendFailed(const net::Packet& packet) {
   // The believed leader did not acknowledge — it slept or left. Purge the
   // sighting and re-route (bounded), re-discovering if needed.
   sightings_.erase(packet.macDst);
-  if (packet.routeRetries >= config_.routing.maxRouteRetries) return;
+  if (packet.routeRetries >= kMaxRouteRetries) return;
   net::Packet retry = packet;
   retry.routeRetries = packet.routeRetries + 1;
   if (state_ == State::kActive || config_.endpointMode) {

@@ -66,14 +66,9 @@ class GafDiscoveryHeader final : public net::Header {
 };
 
 struct GafConfig {
-  sim::Time beaconInterval = 2.0;   ///< discovery-message period when awake
-  double beaconJitterFrac = 0.1;
-  sim::Time discoveryWindow = 0.6;  ///< Td
   sim::Time maxActiveTime = 60.0;   ///< Ta cap
   sim::Time maxSleepTime = 60.0;    ///< Ts cap
   sim::Time minSleepTime = 1.0;
-  sim::Time sightingStale = 5.0;    ///< same-grid/neighbour table freshness
-  std::size_t appPendingLimit = 32;
   RoutingConfig routing;
   bool endpointMode = false;        ///< Model-1 endpoint (see header comment)
   std::function<std::optional<geo::GridCoord>(net::NodeId)> locationHint;

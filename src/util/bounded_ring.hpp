@@ -1,6 +1,6 @@
 // BoundedRing — a FIFO over one flat allocation, for hot-path queues
 // whose depth is bounded by configuration (MAC transmit queues capped by
-// queueLimit, dedup windows capped by dedupWindow).
+// queueLimit, dedup windows capped by kDedupWindow).
 //
 // std::deque would work functionally but churns: libstdc++ frees a block
 // every time pop_front empties it and allocates a fresh one as push_back

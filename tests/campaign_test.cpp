@@ -76,6 +76,9 @@ TEST(CampaignSpecParse, RejectsUnknownTopLevelField) {
 
 TEST(CampaignSpecParse, RejectsMissingSeedsAndEmptyAxisValues) {
   EXPECT_THROW(parseCampaignSpec(R"({"name":"x"})"), std::invalid_argument);
+  // A seed outside [0, 2^64) is rejected, not cast (undefined behaviour).
+  EXPECT_THROW(parseCampaignSpec(R"({"name":"x","seeds":[1e20]})"),
+               std::invalid_argument);
   EXPECT_THROW(
       parseCampaignSpec(
           R"({"name":"x","seeds":[1],"axes":[{"key":"duration","values":[]}]})"),
@@ -180,6 +183,9 @@ TEST(CampaignResolve, SweepingAClassKnobArmsTheDefaultClass) {
 TEST(CampaignResolve, RejectsUnknownKeysLoudly) {
   util::JsonObject overrides;
   overrides["hostCont"] = 10;  // typo must not silently run defaults
+  EXPECT_THROW(campaign::resolveConfig(overrides, 1), std::invalid_argument);
+  overrides.clear();
+  overrides["hostCount"] = 3e9;  // outside int: rejected, not cast
   EXPECT_THROW(campaign::resolveConfig(overrides, 1), std::invalid_argument);
   overrides.clear();
   overrides["workload.class.sesionsPerSecond"] = 1.0;

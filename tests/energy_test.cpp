@@ -11,14 +11,13 @@ namespace ecgrid::energy {
 namespace {
 
 TEST(PowerProfile, PaperNumbers) {
-  PowerProfile p = PowerProfile::paperDefaults();
-  EXPECT_DOUBLE_EQ(p.radioPowerW(PowerState::kTx), 1.400);
-  EXPECT_DOUBLE_EQ(p.radioPowerW(PowerState::kRx), 1.000);
-  EXPECT_DOUBLE_EQ(p.radioPowerW(PowerState::kIdle), 0.830);
-  EXPECT_DOUBLE_EQ(p.radioPowerW(PowerState::kSleep), 0.130);
-  EXPECT_DOUBLE_EQ(p.gpsW, 0.033);
-  EXPECT_DOUBLE_EQ(p.totalPowerW(PowerState::kIdle), 0.863);
-  EXPECT_DOUBLE_EQ(p.totalPowerW(PowerState::kOff), 0.0);
+  EXPECT_DOUBLE_EQ(radioPowerW(PowerState::kTx), 1.400);
+  EXPECT_DOUBLE_EQ(radioPowerW(PowerState::kRx), 1.000);
+  EXPECT_DOUBLE_EQ(radioPowerW(PowerState::kIdle), 0.830);
+  EXPECT_DOUBLE_EQ(radioPowerW(PowerState::kSleep), 0.130);
+  EXPECT_DOUBLE_EQ(kGpsW, 0.033);
+  EXPECT_DOUBLE_EQ(totalPowerW(PowerState::kIdle), 0.863);
+  EXPECT_DOUBLE_EQ(totalPowerW(PowerState::kOff), 0.0);
 }
 
 TEST(Battery, IntegratesConstantDraw) {
@@ -97,12 +96,11 @@ TEST(Battery, RejectsBadInputs) {
 TEST(Battery, PaperLifetimeSanity) {
   // 500 J at idle+GPS (0.863 W) ⇒ ≈ 579 s — the paper's ≈590 s GRID wall.
   Battery battery(500.0);
-  PowerProfile p;
-  battery.setPowerW(p.totalPowerW(PowerState::kIdle), 0.0);
+  battery.setPowerW(totalPowerW(PowerState::kIdle), 0.0);
   EXPECT_NEAR(battery.timeToEmpty(0.0), 579.4, 0.5);
   // A sleeping host (+GPS) instead lasts ≈ 3067 s.
   Battery sleeper(500.0);
-  sleeper.setPowerW(p.totalPowerW(PowerState::kSleep), 0.0);
+  sleeper.setPowerW(totalPowerW(PowerState::kSleep), 0.0);
   EXPECT_NEAR(sleeper.timeToEmpty(0.0), 3067.5, 1.0);
 }
 

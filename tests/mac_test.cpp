@@ -34,8 +34,8 @@ struct Rig {
   phy::Channel channel{simulator, phy::ChannelConfig{}};
   energy::Battery batteryA{500.0};
   energy::Battery batteryB{500.0};
-  phy::Radio radioA{simulator, batteryA, energy::PowerProfile{}, 0};
-  phy::Radio radioB{simulator, batteryB, energy::PowerProfile{}, 1};
+  phy::Radio radioA{simulator, batteryA, 0};
+  phy::Radio radioB{simulator, batteryB, 1};
   std::unique_ptr<CsmaMac> macA;
   std::unique_ptr<CsmaMac> macB;
 
@@ -183,9 +183,9 @@ TEST(CsmaMac, CarrierSenseDefersConcurrentSenders) {
   sim::Simulator simulator;
   phy::Channel channel(simulator, phy::ChannelConfig{});
   energy::Battery b0(500.0), b1(500.0), b2(500.0);
-  phy::Radio r0(simulator, b0, energy::PowerProfile{}, 0);
-  phy::Radio r1(simulator, b1, energy::PowerProfile{}, 1);
-  phy::Radio r2(simulator, b2, energy::PowerProfile{}, 2);
+  phy::Radio r0(simulator, b0, 0);
+  phy::Radio r1(simulator, b1, 1);
+  phy::Radio r2(simulator, b2, 2);
   for (phy::Radio* r : {&r0, &r1, &r2}) r->attachChannel(&channel);
   channel.attach(&r0, [] { return geo::Vec2{0.0, 0.0}; });
   channel.attach(&r1, [] { return geo::Vec2{100.0, 0.0}; });

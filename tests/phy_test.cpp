@@ -35,12 +35,11 @@ net::Packet makeFrame(net::NodeId src, net::NodeId dst, int bytes = 66) {
 /// Two-radio rig at a configurable distance.
 struct Rig {
   sim::Simulator simulator;
-  energy::PowerProfile profile;
   phy::Channel channel{simulator, phy::ChannelConfig{}};
   energy::Battery batteryA{500.0};
   energy::Battery batteryB{500.0};
-  Radio a{simulator, batteryA, energy::PowerProfile{}, 0};
-  Radio b{simulator, batteryB, energy::PowerProfile{}, 1};
+  Radio a{simulator, batteryA, 0};
+  Radio b{simulator, batteryB, 1};
 
   explicit Rig(double distance = 100.0) {
     a.attachChannel(&channel);
@@ -90,8 +89,7 @@ TEST(Radio, BroadcastReachesEveryoneInRange) {
   std::vector<std::unique_ptr<Radio>> radios;
   int received = 0;
   for (int i = 0; i < 3; ++i) {
-    radios.push_back(std::make_unique<Radio>(simulator, batteries[i],
-                                             energy::PowerProfile{}, i));
+    radios.push_back(std::make_unique<Radio>(simulator, batteries[i], i));
     radios.back()->attachChannel(&channel);
     double x = i * 200.0;  // 0, 200 (in range), 400 (also in range of 200)
     channel.attach(radios.back().get(), [x] { return geo::Vec2{x, 0.0}; });
@@ -115,9 +113,9 @@ TEST(Radio, OverlappingTransmissionsCollide) {
   sim::Simulator simulator;
   Channel channel(simulator, ChannelConfig{});
   energy::Battery b0(500.0), b1(500.0), b2(500.0);
-  Radio left(simulator, b0, energy::PowerProfile{}, 0);
-  Radio mid(simulator, b1, energy::PowerProfile{}, 1);
-  Radio right(simulator, b2, energy::PowerProfile{}, 2);
+  Radio left(simulator, b0, 0);
+  Radio mid(simulator, b1, 1);
+  Radio right(simulator, b2, 2);
   for (Radio* r : {&left, &mid, &right}) r->attachChannel(&channel);
   channel.attach(&left, [] { return geo::Vec2{0.0, 0.0}; });
   channel.attach(&mid, [] { return geo::Vec2{240.0, 0.0}; });
@@ -185,7 +183,7 @@ TEST(Radio, DiesExactlyAtDepletion) {
   sim::Simulator simulator;
   Channel channel(simulator, ChannelConfig{});
   energy::Battery small(0.863);  // exactly 1 s of idle+GPS
-  Radio radio(simulator, small, energy::PowerProfile{}, 7);
+  Radio radio(simulator, small, 7);
   radio.attachChannel(&channel);
   channel.attach(&radio, [] { return geo::Vec2{}; });
   sim::Time died = -1.0;
@@ -202,7 +200,7 @@ TEST(Radio, DepletionTimerFollowsPowerChanges) {
   // must move later; a stale timer would kill the host early.
   sim::Simulator simulator;
   energy::Battery small(0.863);  // exactly 1 s of idle+GPS
-  Radio radio(simulator, small, energy::PowerProfile{}, 7);
+  Radio radio(simulator, small, 7);
   sim::Time died = -1.0;
   radio.setDeathCallback([&] { died = simulator.now(); });
   simulator.schedule(0.5, [&] { radio.sleep(); }, "test/sleep");
@@ -264,16 +262,16 @@ TEST(Channel, InterferenceRingReachesPastDecodeRange) {
   config.interferenceRangeMeters = 500.0;
   Channel channel(simulator, config);
   energy::Battery b0(500.0), b1(500.0), b2(500.0);
-  Radio tx(simulator, b0, energy::PowerProfile{}, 0);
-  Radio nearRx(simulator, b1, energy::PowerProfile{}, 1);
-  Radio farRx(simulator, b2, energy::PowerProfile{}, 2);
+  Radio tx(simulator, b0, 0);
+  Radio nearRx(simulator, b1, 1);
+  Radio farRx(simulator, b2, 2);
   for (Radio* r : {&tx, &nearRx, &farRx}) r->attachChannel(&channel);
   channel.attach(&tx, [] { return geo::Vec2{0.0, 0.0}; });
   channel.attach(&nearRx, [] { return geo::Vec2{400.0, 0.0}; });
   channel.attach(&farRx, [] { return geo::Vec2{400.0, 0.0}; });
   // nearRx also has a legitimate sender within decode range.
   energy::Battery b3(500.0);
-  Radio legit(simulator, b3, energy::PowerProfile{}, 3);
+  Radio legit(simulator, b3, 3);
   legit.attachChannel(&channel);
   channel.attach(&legit, [] { return geo::Vec2{450.0, 0.0}; });
 
@@ -427,7 +425,7 @@ TEST(Paging, DeliveryHasConfiguredLatency) {
       [&](const net::PageSignal&) { deliveredAt = rig.simulator.now(); });
   rig.paging.pageHost(9, {1.0, 0.0}, 5);
   rig.simulator.run(1.0);
-  EXPECT_DOUBLE_EQ(deliveredAt, rig.paging.config().latencySeconds);
+  EXPECT_DOUBLE_EQ(deliveredAt, phy::kPageLatencySeconds);
 }
 
 }  // namespace

@@ -195,7 +195,7 @@ TEST(RoutingEngineUnit, RreqForRemoteHostIsRelayedOnce) {
 
 TEST(RoutingEngineUnit, EdgeOfDiskRreqIsIgnored) {
   EngineRig rig;
-  // The copy claims to come from 260 m away: past maxForwardDistance.
+  // The copy claims to come from 260 m away: past kMaxForwardDistance.
   net::Packet rreq = rig.rreqFrame(5, 99, {0, 0}, {-110.0, 50.0});
   rig.engine->onFrame(rreq);
   EXPECT_TRUE(rig.env.link_.sent.empty());

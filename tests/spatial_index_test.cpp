@@ -87,9 +87,9 @@ TEST(Channel, DetachedSlotsAreReused) {
   sim::Simulator simulator;
   Channel channel(simulator, ChannelConfig{});
   energy::Battery battery(500.0);
-  Radio a(simulator, battery, energy::PowerProfile{}, 0);
-  Radio b(simulator, battery, energy::PowerProfile{}, 1);
-  Radio c(simulator, battery, energy::PowerProfile{}, 2);
+  Radio a(simulator, battery, 0);
+  Radio b(simulator, battery, 1);
+  Radio c(simulator, battery, 2);
   std::size_t idA = channel.attach(&a, [] { return geo::Vec2{0.0, 0.0}; });
   std::size_t idB = channel.attach(&b, [] { return geo::Vec2{10.0, 0.0}; });
   EXPECT_EQ(channel.liveAttachmentCount(), 2u);
@@ -124,8 +124,8 @@ struct FanoutWorld {
     }
     for (int i = 0; i < radioCount; ++i) {
       batteries.push_back(std::make_unique<energy::Battery>(500.0));
-      radios.push_back(std::make_unique<Radio>(
-          simulator, *batteries.back(), energy::PowerProfile{}, i));
+      radios.push_back(
+          std::make_unique<Radio>(simulator, *batteries.back(), i));
       radios.back()->attachChannel(&*channel);
       geo::Vec2 p = positions[static_cast<std::size_t>(i)];
       channel->attach(radios.back().get(), [p] { return p; });
